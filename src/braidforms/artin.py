@@ -5,16 +5,22 @@ generated by the reflections attached to a and b.  Each letter of a word gets
 a reflection by conjugating its generator image with the prefix image, in
 direct analogy with braid crossings; letters whose reflection swaps the
 vertices 1 and 3 are gathered to the front as a power of a.
+
+Parity rule: an a-letter is gatherable iff an even number of b-letters
+precede it, and a b-letter never is.  Proof: with P the prefix image,
+P A_BAR P^-1 swaps P(1) and P(3), so it is A_BAR iff P keeps the diagonal
+{1, 3}; A_BAR keeps both diagonals and B_BAR swaps them.  P B_BAR P^-1 moves
+all four vertices.  So the gathered prefix is the leading run of a-letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import gathering
 from .errors import NoRuleMatches, StepBudgetExceeded
-from .words import BraidWord
-
-DEFAULT_STEP_BUDGET = 10**6
+from .gathering import DEFAULT_STEP_BUDGET
+from .words import BraidWord, reduce_letters
 
 # letters: +1 = a, -1 = a^-1, +2 = b, -2 = b^-1
 
@@ -75,18 +81,8 @@ class ArtinNormalForm:
     w1: ArtinWord
 
 
-def _reduce(letters) -> tuple[int, ...]:
-    out: list[int] = []
-    for t in letters:
-        if out and out[-1] == -t:
-            out.pop()
-        else:
-            out.append(t)
-    return tuple(out)
-
-
 def free_reduce_artin(w: ArtinWord) -> ArtinWord:
-    return ArtinWord(_reduce(w.letters))
+    return ArtinWord(reduce_letters(w.letters))
 
 
 def word_image(w: ArtinWord) -> SquareReflection:
@@ -106,17 +102,6 @@ def reflection_sequence(w: ArtinWord) -> tuple[SquareReflection, ...]:
         out.append(compose(prefix, compose(gen, invert(prefix))))
         prefix = compose(prefix, gen)
     return tuple(out)
-
-
-def _small_flags(letters: tuple[int, ...]) -> list[bool]:
-    """A letter is gatherable when its reflection is the 1-3 vertex swap."""
-    flags = []
-    prefix = IDENT
-    for t in letters:
-        gen = A_BAR if abs(t) == 1 else B_BAR
-        flags.append(compose(prefix, compose(gen, invert(prefix))) == A_BAR)
-        prefix = compose(prefix, gen)
-    return flags
 
 
 def _artin_rhs(z1: int, z2: int, y: int) -> tuple[int, ...]:
@@ -157,42 +142,57 @@ def _artin_rhs(z1: int, z2: int, y: int) -> tuple[int, ...]:
 
 
 def gather_steps_a(w: ArtinWord):
-    """Yield the word after each gathering step, ending at the fixed point."""
-    letters = _reduce(w.letters)
-    while True:
-        flags = _small_flags(letters)
-        try:
-            first_big = flags.index(False)
-        except ValueError:
-            return
-        v_idx = next(
-            (i for i in range(first_big + 1, len(flags)) if flags[i]), None
-        )
-        if v_idx is None:
-            return
-        if v_idx - first_big < 2:
-            raise NoRuleMatches(
-                f"single-letter big run before gatherable letter in {letters}"
-            )
-        rhs = _artin_rhs(letters[v_idx - 2], letters[v_idx - 1], letters[v_idx])
-        letters = _reduce(letters[: v_idx - 2] + rhs + letters[v_idx + 1 :])
-        yield ArtinWord(letters)
+    """Gather the gatherable letters of ``w`` to the front in one pass.
+
+    Letters move from ``pending`` onto ``small`` (gathered) or ``big``
+    (residual), cancelling against the top of the stack, as in
+    ``gathering.gather_strand``; a gatherable letter stuck behind ``big`` is
+    replaced, with ``big``'s last two letters, by ``_artin_rhs``.  Yields the
+    live stacks ``(small, big, pending)`` after each such transformation: the
+    word is then ``small + big + reversed(pending)``, and once the generator is
+    spent ``small + big`` is the gathered word.  Letters cancel as they are
+    pushed, not over the whole word after each step, so the step count can
+    differ from that of a globally reducing loop; the result cannot.
+    """
+    small: list[int] = []
+    big: list[int] = []
+    pending = list(reversed(reduce_letters(w.letters)))
+    odd = False  # an odd number of b-letters in big; small holds a-letters only
+    while pending:
+        t = pending.pop()
+        if odd or abs(t) == 2:
+            if big and big[-1] == -t:
+                big.pop()
+            else:
+                big.append(t)
+            # a b-letter flips the parity whether it is pushed or cancelled
+            odd ^= abs(t) == 2
+        elif not big:
+            if small and small[-1] == -t:
+                small.pop()
+            else:
+                small.append(t)
+        else:
+            z2 = big.pop()
+            if not big:
+                raise NoRuleMatches(f"single-letter big run before gatherable letter {t}")
+            z1 = big.pop()
+            # big had an even count and lost z2, a b-letter, and z1
+            odd = abs(z1) != 2
+            pending.extend(reversed(_artin_rhs(z1, z2, t)))
+            yield small, big, pending
 
 
 def normalize_a(w: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> ArtinNormalForm:
-    """Gather the 1-3 reflection letters to the front as a power of a."""
-    letters = _reduce(w.letters)
-    for steps, cur in enumerate(gather_steps_a(w)):
+    """Gather the 1-3 reflection letters to the front as a power of a, in at
+    most ``max_steps`` gathering transformations."""
+    stacks = ((), reduce_letters(w.letters))  # the result if no step is needed
+    for steps, stacks in enumerate(gather_steps_a(w)):
         if steps >= max_steps:
             raise StepBudgetExceeded(max_steps, "normalizing Artin word")
-        letters = cur.letters
-    flags = _small_flags(letters)
-    try:
-        cut = flags.index(False)
-    except ValueError:
-        cut = len(letters)
-    m = sum(1 if t > 0 else -1 for t in letters[:cut])
-    return ArtinNormalForm(m, ArtinWord(letters[cut:]))
+    letters = tuple(stacks[0]) + tuple(stacks[1])
+    cut = next((i for i, t in enumerate(letters) if abs(t) == 2), len(letters))
+    return ArtinNormalForm(sum(letters[:cut]), ArtinWord(letters[cut:]))
 
 
 def embed_b3(w: ArtinWord) -> BraidWord:
@@ -206,8 +206,7 @@ def embed_b3(w: ArtinWord) -> BraidWord:
     return BraidWord(3, tuple(letters))
 
 
-def equal_a(u: ArtinWord, v: ArtinWord) -> bool:
+def equal_a(u: ArtinWord, v: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
     """Group equality via the braid embedding and its normal forms."""
-    from .gathering import normal_form
-
-    return normal_form(embed_b3(u)) == normal_form(embed_b3(v))
+    nf_u = gathering.normal_form(embed_b3(u), max_steps=max_steps)
+    return nf_u == gathering.normal_form(embed_b3(v), max_steps=max_steps)

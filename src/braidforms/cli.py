@@ -229,9 +229,8 @@ def cmd_artin(max_steps, action, words):
             click.echo(a_part + str(nf.w1))
             click.echo(f"m = {nf.m}", err=True)
         else:
-            click.echo(
-                "equal" if artin_mod.equal_a(parsed[0], parsed[1]) else "not-equal"
-            )
+            same = artin_mod.equal_a(parsed[0], parsed[1], max_steps=max_steps)
+            click.echo("equal" if same else "not-equal")
     except StepBudgetExceeded as exc:
         _fail(str(exc), 2)
 

@@ -22,7 +22,6 @@ from braidforms import (
     crossings_to_word,
     embed_b3,
     equal_a,
-    gather_steps_a,
     inverse,
     is_normal_form,
     is_pure,
@@ -39,12 +38,13 @@ from braidforms import (
     word,
     word_to_crossings,
 )
+from braidforms.artin import word_image
 from braidforms.crossings import CrossingSequence, crossing, sequence
 from braidforms.errors import StepBudgetExceeded
 from braidforms.oracle import burau, mutate, random_word
 from braidforms.rewriting import LEFTMOST, RIGHTMOST, Strategy
 
-from .test_artin import artin_mutate, as_word, rand_artin
+from .test_artin import artin_mutate, as_word, rand_artin, step_words
 
 EXAMPLE = (3, -2, -2, 1)
 EXAMPLE_NF = (1, 3, 2, -1, -1, -2)
@@ -304,8 +304,10 @@ def test_criterion_12_artin_module(artin_pool):
     for w, v in artin_pool:
         assert normalize_a(w) == normalize_a(v)
         reference = burau(embed_b3(w))
-        for step in gather_steps_a(w):
+        image = word_image(w)
+        for step in step_words(w):
             assert burau(embed_b3(step)) == reference
+            assert word_image(step) == image
             audited += 1
         nf = normalize_a(w)
         assert burau(embed_b3(as_word(nf))) == reference

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from braidforms import (
     ArtinWord,
@@ -18,19 +20,19 @@ from braidforms.artin import (
     B_BAR,
     IDENT,
     ArtinNormalForm,
-    _small_flags,
     compose,
     free_reduce_artin,
     invert,
     word_image,
 )
+from braidforms.errors import StepBudgetExceeded
 from braidforms.oracle import burau
 from braidforms.words import concat, inverse
 
 
-def rand_artin(rng, max_len=12):
+def rand_artin(rng, max_len=12, min_len=0):
     letters = []
-    n = rng.randrange(0, max_len)
+    n = rng.randrange(min_len, max_len)
     while len(letters) < n:
         choices = [t for t in (1, -1, 2, -2) if not letters or t != -letters[-1]]
         letters.append(choices[rng.randrange(len(choices))])
@@ -66,6 +68,23 @@ def artin_mutate(w, rng, moves):
 def as_word(nf: ArtinNormalForm) -> ArtinWord:
     lead = (1 if nf.m >= 0 else -1,) * abs(nf.m)
     return ArtinWord(lead + nf.w1.letters)
+
+
+def step_words(w):
+    """The word after each gathering step, built from the yielded stacks."""
+    for small, big, pending in gather_steps_a(w):
+        yield ArtinWord(tuple(small + big + pending[::-1]))
+
+
+def long_words(seed, count=5):
+    """Seeded reduced words of 100 to 300 letters."""
+    rng = random.Random(seed)
+    return [rand_artin(rng, max_len=301, min_len=100) for _ in range(count)]
+
+
+artin_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=40).map(
+    lambda ls: ArtinWord(tuple(ls))
+)
 
 
 class TestParsing:
@@ -134,6 +153,15 @@ class TestReflectionSequence:
                 else:
                     assert r != A_BAR
 
+    @given(artin_words)
+    def test_parity_rule(self, w):
+        """A letter is gatherable iff it is an a-letter after an even number
+        of b-letters."""
+        b_before = 0
+        for t, r in zip(w.letters, reflection_sequence(w)):
+            assert (r == A_BAR) == (abs(t) == 1 and b_before % 2 == 0)
+            b_before += abs(t) == 2
+
 
 class TestEmbedding:
     def test_generator_images(self):
@@ -175,14 +203,16 @@ class TestNormalizeA:
         for _ in range(25):
             w = rand_artin(rng)
             reference = burau(embed_b3(w))
-            for step in gather_steps_a(w):
+            image = word_image(w)
+            for step in step_words(w):
                 assert burau(embed_b3(step)) == reference
+                assert word_image(step) == image
 
     def test_residual_block_has_no_gatherable_letters(self):
         rng = random.Random(19)
         for _ in range(60):
             nf = normalize_a(rand_artin(rng))
-            assert not any(_small_flags(nf.w1.letters))
+            assert A_BAR not in reflection_sequence(nf.w1)
             assert free_reduce_artin(nf.w1) == nf.w1
 
     def test_idempotent(self):
@@ -197,6 +227,30 @@ class TestNormalizeA:
             w = rand_artin(rng)
             v = artin_mutate(w, rng, rng.randrange(1, 6))
             assert normalize_a(v) == normalize_a(w)
+
+    def test_long_words(self):
+        rng = random.Random(23)
+        for w in long_words(24):
+            nf = normalize_a(w)
+            assert burau(embed_b3(as_word(nf))) == burau(embed_b3(w))
+            assert A_BAR not in reflection_sequence(nf.w1)
+            assert normalize_a(as_word(nf)) == nf
+            v = artin_mutate(w, rng, rng.randrange(1, 6))
+            assert normalize_a(v) == nf
+            assert equal_a(w, as_word(nf))
+            assert equal_a(v, w)
+
+    def test_budget_counts_transformations(self):
+        w = parse_artin("bba")
+        steps = sum(1 for _ in gather_steps_a(w))
+        assert steps > 0
+        with pytest.raises(StepBudgetExceeded):
+            normalize_a(w, max_steps=0)
+        for w in long_words(25, count=3):
+            steps = sum(1 for _ in gather_steps_a(w))
+            with pytest.raises(StepBudgetExceeded):
+                normalize_a(w, max_steps=steps - 1)
+            assert normalize_a(w, max_steps=steps) == normalize_a(w)
 
 
 class TestEqualA:
@@ -222,3 +276,9 @@ class TestEqualA:
             v = artin_mutate(w, rng, 3)
             assert equal_a(w, v)
             assert equal_a(w, as_word(normalize_a(w)))
+
+    def test_budget(self):
+        u, v = parse_artin("ba"), parse_artin("ab")
+        with pytest.raises(StepBudgetExceeded):
+            equal_a(u, v, max_steps=0)
+        assert not equal_a(u, v, max_steps=10)

@@ -171,6 +171,16 @@ class TestArtin:
     def test_bad_letters(self, runner):
         assert run(runner, "artin", "normalize", "xyz").exit_code == 1
 
+    def test_normalize_budget_exceeded_exits_2(self, runner):
+        res = run(runner, "artin", "normalize", "--max-steps", "1", "bbabba")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
+    def test_equal_budget_exceeded_exits_2(self, runner):
+        res = run(runner, "artin", "equal", "--max-steps", "1", "bbabba", "abab")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+
 
 class TestDiagram:
     def test_renders_file(self, runner, tmp_path):
