@@ -32,12 +32,10 @@ from .errors import NoRuleMatches, PatternMismatch, StepBudgetExceeded
 from .gathering import (
     NormalForm,
     check_b3_parity,
-    gather_step,
     gather_strand,
     is_normal_form,
     nf_to_word,
     normal_form,
-    tuvw_decompose,
 )
 from .randbraid import (
     RandomParams,
@@ -99,7 +97,6 @@ __all__ = [
     "equal_a",
     "free_reduce",
     "gather_steps_a",
-    "gather_step",
     "gather_strand",
     "inverse",
     "is_normal_form",
@@ -116,7 +113,6 @@ __all__ = [
     "random_power",
     "reflection_sequence",
     "residue",
-    "tuvw_decompose",
     "validate",
     "word",
     "word_to_crossings",

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gathering
-from .errors import NoRuleMatches, StepBudgetExceeded
-from .gathering import DEFAULT_STEP_BUDGET
+from .errors import DEFAULT_STEP_BUDGET, NoRuleMatches, StepBudgetExceeded
 from .words import BraidWord, reduce_letters
 
 # letters: +1 = a, -1 = a^-1, +2 = b, -2 = b^-1
@@ -189,7 +188,9 @@ def normalize_a(w: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> ArtinNorm
     stacks = ((), reduce_letters(w.letters))  # the result if no step is needed
     for steps, stacks in enumerate(gather_steps_a(w)):
         if steps >= max_steps:
-            raise StepBudgetExceeded(max_steps, "normalizing Artin word")
+            small, big, pending = stacks
+            reached = ArtinWord(tuple(small + big + pending[::-1]))
+            raise StepBudgetExceeded(max_steps, "normalizing Artin word", reached)
     letters = tuple(stacks[0]) + tuple(stacks[1])
     cut = next((i for i, t in enumerate(letters) if abs(t) == 2), len(letters))
     return ArtinNormalForm(sum(letters[:cut]), ArtinWord(letters[cut:]))

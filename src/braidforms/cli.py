@@ -22,12 +22,8 @@ from .crossings import (
     word_to_crossings,
 )
 from .diagram import render_svg
-from .errors import StepBudgetExceeded
-from .gathering import (
-    DEFAULT_STEP_BUDGET,
-    nf_to_word,
-    normal_form,
-)
+from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
+from .gathering import nf_to_word, normal_form
 from .randbraid import RandomParams, random_braid
 from .rewriting import Strategy, residue
 from .words import BraidWord

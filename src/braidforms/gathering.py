@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crossings import word_to_crossings
-from .errors import NoRuleMatches, StepBudgetExceeded
-from .words import BraidWord, free_reduce, reduce_letters
-
-DEFAULT_STEP_BUDGET = 10**6
+from .errors import DEFAULT_STEP_BUDGET, NoRuleMatches, StepBudgetExceeded
+from .words import BraidWord, free_reduce
 
 
 @dataclass(frozen=True)
@@ -32,67 +30,6 @@ class NormalForm:
     def block(self, k: int) -> BraidWord:
         """Block w_k for 3 <= k <= strands."""
         return self.blocks[k - 3]
-
-
-@dataclass(frozen=True)
-class TUVW:
-    """Decomposition of a word relative to a distinguished strand k.
-
-    T carries only small crossings, U is a nonempty run of big crossings,
-    V is a single letter whose crossing is small, W is the remainder.
-    """
-
-    strands: int
-    k: int
-    t: tuple[int, ...]
-    u: tuple[int, ...]
-    v: int
-    w: tuple[int, ...]
-
-
-def _big_flags(letters: tuple[int, ...], k: int) -> list[bool]:
-    """Per-letter bigness: does the letter's crossing involve strand k?
-
-    Strand k starts at position k and is only moved by its own (big)
-    crossings, so its position can be tracked directly.
-    """
-    pos = k
-    flags = []
-    for t in letters:
-        i = abs(t)
-        if pos == i:
-            flags.append(True)
-            pos = i + 1
-        elif pos == i + 1:
-            flags.append(True)
-            pos = i
-        else:
-            flags.append(False)
-    return flags
-
-
-def tuvw_decompose(w: BraidWord, k: int) -> TUVW | None:
-    """Locate the first small crossing preceded by a big one.
-
-    Returns None when every small crossing precedes every big crossing,
-    i.e. the word is already gathered for strand k.
-    """
-    flags = _big_flags(w.letters, k)
-    try:
-        first_big = flags.index(True)
-    except ValueError:
-        return None
-    for v_idx in range(first_big + 1, len(flags)):
-        if not flags[v_idx]:
-            return TUVW(
-                w.strands,
-                k,
-                w.letters[:first_big],
-                w.letters[first_big:v_idx],
-                w.letters[v_idx],
-                w.letters[v_idx + 1 :],
-            )
-    return None
 
 
 def _pattern_rhs(a: int, b: int, c: int) -> tuple[int, ...]:
@@ -139,26 +76,6 @@ def _pattern_rhs(a: int, b: int, c: int) -> tuple[int, ...]:
     raise NoRuleMatches(f"no configuration matches ({a}, {b}, {c})")
 
 
-def gather_step(w: BraidWord, k: int) -> BraidWord:
-    """Apply one transformation moving the first stuck small crossing left."""
-    d = tuvw_decompose(w, k)
-    if d is None:
-        raise ValueError(f"word is already gathered for strand {k}")
-    z2 = d.u[-1]
-    if abs(abs(z2) - abs(d.v)) != 1:
-        # distant (or identical) generators commute: swap V past the
-        # terminal letter of U
-        letters = d.t + d.u[:-1] + (d.v, z2) + d.w
-    else:
-        if len(d.u) < 2:
-            raise NoRuleMatches(
-                f"single-letter big run before small letter in {w.letters}"
-            )
-        rhs = _pattern_rhs(d.u[-2], z2, d.v)
-        letters = d.t + d.u[:-2] + rhs + d.w
-    return BraidWord(w.strands, reduce_letters(letters))
-
-
 def gather_strand(
     w: BraidWord, k: int, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> tuple[BraidWord, BraidWord]:
@@ -169,7 +86,8 @@ def gather_strand(
 
     Letters are consumed left to right while the position of strand k and the
     accumulated small prefix / big run are maintained incrementally, so each
-    elementary transformation costs O(1) instead of a full re-trace.
+    elementary transformation costs O(1) instead of a full re-trace.  With
+    ``max_steps`` = s, a budget trip's ``reached`` is the word after step s.
     """
     small: list[int] = []
     big: list[int] = []
@@ -196,7 +114,8 @@ def gather_strand(
             continue
         # a small letter stuck behind the big run: bubble it left
         if steps >= max_steps:
-            raise StepBudgetExceeded(max_steps, f"gathering strand {k}")
+            reached = BraidWord(w.strands, tuple(small + big + [t] + pending[::-1]))
+            raise StepBudgetExceeded(max_steps, f"gathering strand {k}", reached)
         steps += 1
         z2 = big.pop()
         j = abs(z2)
@@ -220,10 +139,15 @@ def gather_strand(
 def normal_form(w: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> NormalForm:
     """Compute the unique block-structured normal form of ``w``."""
     cur = free_reduce(w)
+    # x_i crosses positions i, i+1 only and no step raises a generator, so
+    # every block above top is empty
+    top = min(w.strands, max(map(abs, cur.letters), default=0) + 1)
     blocks: list[BraidWord] = []
-    for k in range(w.strands, 2, -1):
+    for k in range(top, 2, -1):
         cur, block = gather_strand(cur, k, max_steps=max_steps)
-        blocks.insert(0, block)
+        blocks.append(block)
+    blocks.reverse()
+    blocks += [BraidWord(w.strands)] * (w.strands - max(top, 2))
     # what is left uses x1 only and is freely reduced, hence a single power
     m = sum(1 if t > 0 else -1 for t in cur.letters)
     return NormalForm(w.strands, m, tuple(blocks))

@@ -20,9 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .crossings import Crossing, CrossingSequence, crossing, validate
-from .errors import PatternMismatch, StepBudgetExceeded
-
-DEFAULT_STEP_BUDGET = 10**6
+from .errors import DEFAULT_STEP_BUDGET, PatternMismatch, StepBudgetExceeded
 
 # tie-break order for sites at the same position
 _TEMPLATE_ORDER = {"D": 0, "COM": 1, "I1": 2, "I2": 3, "I3": 4, "I4": 5}
@@ -158,14 +156,17 @@ def applicable_sites(
     return sites
 
 
+def _splice(items: tuple[Crossing, ...], p: int, rule: RewriteRule) -> tuple[Crossing, ...]:
+    """``items`` with the rule's replacement over its span at ``p``."""
+    return items[:p] + rule.replacement + items[p + rule.length :]
+
+
 def apply_rule(c: CrossingSequence, site: RewriteSite) -> CrossingSequence:
     """Splice the rule's replacement over its matched span."""
     current = _match_at(c.items, site.position, use_com=True)
     if current is None or current != site.rule:
         raise PatternMismatch(f"site {site} does not match the sequence")
-    p = site.position
-    items = c.items[:p] + site.rule.replacement + c.items[p + site.rule.length :]
-    return CrossingSequence(c.strands, items)
+    return CrossingSequence(c.strands, _splice(c.items, site.position, site.rule))
 
 
 def _gathering_order(
@@ -214,7 +215,7 @@ def residue(
         if not sites:
             return c
         if steps >= max_steps:
-            raise StepBudgetExceeded(max_steps, "computing residue")
+            raise StepBudgetExceeded(max_steps, "computing residue", c)
         sites = _gathering_order(c.items, sites)
         if strategy.kind == "leftmost":
             site = sites[0]
@@ -222,11 +223,7 @@ def residue(
             site = sites[-1]
         else:
             site = sites[rng.randrange(len(sites))]
-        p = site.position
-        c = CrossingSequence(
-            c.strands,
-            c.items[:p] + site.rule.replacement + c.items[p + site.rule.length :],
-        )
+        c = CrossingSequence(c.strands, _splice(c.items, site.position, site.rule))
         steps += 1
 
 
@@ -254,8 +251,7 @@ def max_chain_length(c: CrossingSequence, cap: int) -> int | str:
             rule = _match_at(items, p, use_com=True)
             if rule is None:
                 continue
-            nxt = items[:p] + rule.replacement + items[p + rule.length :]
-            sub = longest(nxt)
+            sub = longest(_splice(items, p, rule))
             if sub == -1 or sub + 1 > cap:
                 memo[items] = -1
                 return -1

@@ -252,6 +252,16 @@ class TestNormalizeA:
                 normalize_a(w, max_steps=steps - 1)
             assert normalize_a(w, max_steps=steps) == normalize_a(w)
 
+    def test_budget_trip_reaches_an_equal_word(self):
+        for w in long_words(26, count=2):
+            for budget in (0, 3, 17):
+                with pytest.raises(StepBudgetExceeded) as exc:
+                    normalize_a(w, max_steps=budget)
+                reached = exc.value.reached
+                assert isinstance(reached, ArtinWord)
+                assert word_image(reached) == word_image(w)
+                assert burau(embed_b3(reached)) == burau(embed_b3(w))
+
 
 class TestEqualA:
     def test_defining_relation(self):

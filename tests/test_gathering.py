@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidforms import (
     BraidWord,
@@ -12,18 +14,34 @@ from braidforms import (
     check_b3_parity,
     classify,
     free_reduce,
-    gather_step,
     gather_strand,
     is_normal_form,
     is_pure,
     nf_to_word,
     normal_form,
     permutation,
-    tuvw_decompose,
     word,
     word_to_crossings,
 )
+from braidforms import gathering
 from braidforms.oracle import burau, check_rule_instance, mutate, random_word
+
+
+def step_words(w, k, limit=300):
+    """The word after each gathering step of strand k, then the gathered word.
+
+    Step s is read from the ``reached`` word of the budget trip of
+    ``gather_strand(w, k, max_steps=s)``.
+    """
+    for s in range(limit):
+        try:
+            prefix, block = gather_strand(w, k, max_steps=s)
+        except StepBudgetExceeded as exc:
+            yield exc.reached
+        else:
+            yield BraidWord(w.strands, prefix.letters + block.letters)
+            return
+    pytest.fail(f"gathering did not finish in {limit} steps")
 
 
 class TestWorkedExample:
@@ -39,36 +57,18 @@ class TestWorkedExample:
         assert nf_to_word(nf).letters == (1, 2, 1)
 
 
-class TestTuvwDecompose:
-    def test_none_when_gathered(self):
-        assert tuvw_decompose(word(4, [1, 2, 3]), 4) is None
-        assert tuvw_decompose(word(4, []), 4) is None
-
-    def test_splits_at_first_stuck_small(self):
-        d = tuvw_decompose(word(4, [1, 3, 1, 2]), 4)
-        assert d.t == (1,)
-        assert d.u == (3,)
-        assert d.v == 1
-        assert d.w == (2,)
-
-
 class TestGatherStep:
     def test_commutation_case(self):
-        out = gather_step(word(4, [3, 1]), 4)
-        assert out.letters == (1, 3)
+        steps = [v.letters for v in step_words(word(4, [3, 1]), 4)]
+        assert steps == [(3, 1), (1, 3)]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_each_step_preserves_element(self, seed):
         rng = random.Random(seed)
         w = random_word(4, rng.randrange(2, 14), rng)
-        for _ in range(300):
-            if tuvw_decompose(w, 4) is None:
-                break
-            nxt = gather_step(w, 4)
+        for nxt in step_words(w, 4):
             assert check_rule_instance(w, nxt)
             w = nxt
-        else:
-            pytest.fail("gathering did not finish in 300 steps")
 
 
 class TestGatherStrand:
@@ -80,23 +80,11 @@ class TestGatherStrand:
         )
         assert set(labels[len(prefix.letters):]) <= {"big"}
 
-    def test_agrees_with_stepwise_rewriting(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            w = random_word(4, rng.randrange(1, 12), rng)
-            fast = gather_strand(w, 4)
-            slow = w
-            while tuvw_decompose(slow, 4) is not None:
-                slow = gather_step(slow, 4)
-            cut = len(fast[0].letters)
-            assert slow.letters == fast[0].letters + fast[1].letters or burau(
-                BraidWord(4, fast[0].letters + fast[1].letters)
-            ) == burau(slow)
-
     def test_budget_guard(self):
         w = BraidWord(4, (3, 3, 2, 2, 1, 1, 2, 2) * 4)
-        with pytest.raises(StepBudgetExceeded):
+        with pytest.raises(StepBudgetExceeded) as exc:
             gather_strand(w, 4, max_steps=10)
+        assert check_rule_instance(w, exc.value.reached)
 
 
 class TestNormalForm:
@@ -143,6 +131,75 @@ class TestNormalForm:
         w = BraidWord(4, (3, 3, 2, 2, 1, 1, 2, 2) * 4)
         with pytest.raises(StepBudgetExceeded):
             normal_form(w, max_steps=10)
+
+    def test_budget_trip_reaches_the_gathered_strand(self):
+        # strand 4 needs no step, strand 3 one: the trip is on the prefix
+        w = word(4, [2, 1, 2, 3, 2, 1])
+        prefix, block = gather_strand(w, 4, max_steps=0)
+        assert block.letters == (3, 2, 1)
+        with pytest.raises(StepBudgetExceeded) as exc:
+            normal_form(w, max_steps=0)
+        assert exc.value.reached == prefix
+
+    def test_gathers_only_strands_the_word_reaches(self, monkeypatch):
+        calls = []
+        real = gathering.gather_strand
+
+        def counted(w, k, max_steps):
+            calls.append(k)
+            return real(w, k, max_steps)
+
+        monkeypatch.setattr(gathering, "gather_strand", counted)
+        n = 10**5
+        assert normal_form(word(n, [1])) == NormalForm(n, 1, (word(n),) * (n - 2))
+        assert calls == []
+        nf = normal_form(word(100, [5]))
+        assert calls == [6, 5, 4, 3]
+        assert nf_to_word(nf) == word(100, [5])
+        assert nf.block(6) == word(100, [5])
+
+
+@st.composite
+def small_words(draw):
+    """Words of at most 12 letters in B_N for N <= 6."""
+    n = draw(st.integers(2, 6))
+    gens = [g * s for g in range(1, n) for s in (1, -1)]
+    return BraidWord(n, tuple(draw(st.lists(st.sampled_from(gens), max_size=12))))
+
+
+BUDGET = 10**5
+
+
+class TestNormalFormProperties:
+    @settings(deadline=None)
+    @given(small_words())
+    def test_idempotent(self, w):
+        nf = normal_form(w, max_steps=BUDGET)
+        nw = nf_to_word(nf)
+        assert is_normal_form(nw)
+        assert normal_form(nw, max_steps=BUDGET) == nf
+
+    @settings(deadline=None)
+    @given(small_words(), st.integers(0, 2**32), st.integers(1, 6))
+    def test_invariant_under_relation_moves(self, w, seed, moves):
+        v = mutate(w, random.Random(seed), moves)
+        assert normal_form(v, max_steps=BUDGET) == normal_form(w, max_steps=BUDGET)
+
+    @settings(deadline=None)
+    @given(small_words())
+    def test_sound(self, w):
+        nw = nf_to_word(normal_form(w, max_steps=BUDGET))
+        assert permutation(nw) == permutation(w)
+        assert burau(nw) == burau(w)
+
+    @settings(deadline=None)
+    @given(small_words(), st.integers(1, 3))
+    def test_strand_embedding(self, w, j):
+        n = w.strands + j
+        nf = normal_form(w, max_steps=BUDGET)
+        blocks = tuple(BraidWord(n, b.letters) for b in nf.blocks)
+        expected = NormalForm(n, nf.m, blocks + (BraidWord(n),) * j)
+        assert normal_form(BraidWord(n, w.letters), max_steps=BUDGET) == expected
 
 
 class TestIsNormalForm:

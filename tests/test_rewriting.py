@@ -128,6 +128,16 @@ class TestResidue:
         with pytest.raises(StepBudgetExceeded):
             residue(c, max_steps=5)
 
+    @pytest.mark.parametrize("budget", [0, 5, 40])
+    def test_budget_trip_reaches_an_equal_sequence(self, budget):
+        w = word(4, (3, 3, 2, 2, 1, 1, 2, 2) * 3)
+        with pytest.raises(StepBudgetExceeded) as exc:
+            residue(word_to_crossings(w), RIGHTMOST, max_steps=budget)
+        reached = exc.value.reached
+        assert isinstance(reached, CrossingSequence)
+        assert validate(reached)
+        assert burau(crossings_to_word(reached)) == burau(w)
+
     @pytest.mark.parametrize("strands", [3, 4])
     def test_agreement_with_gathering(self, strands, word_pool):
         for w in word_pool[strands][:60]:
