@@ -90,7 +90,24 @@ def _parse_strategy(text: str) -> Strategy:
     )
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """The one place where errors become exit codes and stderr lines."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        # InvalidCrossing is a ValueError, so its clause comes first
+        except InvalidCrossing as exc:
+            _fail(f"invalid crossing at position {exc.position}", 1)
+        except StepBudgetExceeded as exc:
+            _fail(str(exc), 2)
+        except BrokenPipeError:
+            raise  # click exits 1 on a closed stdout, without a message
+        except (ValueError, OSError) as exc:
+            _fail(str(exc), 1)
+
+
+@click.group(cls=_ExitCodes)
 def main():
     """Braid-group normal forms, crossing sequences and random braids."""
 
@@ -103,14 +120,7 @@ def main():
 @click.argument("word_text")
 def cmd_normalize(strands, report, pretty, max_steps, word_text):
     """Print the normal form of WORD_TEXT."""
-    try:
-        w = parse_word(word_text, strands)
-    except ValueError as exc:
-        _fail(str(exc), 1)
-    try:
-        nf = normal_form(w, max_steps=max_steps)
-    except StepBudgetExceeded as exc:
-        _fail(str(exc), 2)
+    nf = normal_form(parse_word(word_text, strands), max_steps=max_steps)
     click.echo(format_word(nf_to_word(nf), pretty=pretty))
     if report:
         click.echo(f"m = {nf.m}")
@@ -123,11 +133,7 @@ def cmd_normalize(strands, report, pretty, max_steps, word_text):
 @click.argument("word_text")
 def cmd_crossings(strands, word_text):
     """Print the crossing sequence of WORD_TEXT."""
-    try:
-        w = parse_word(word_text, strands)
-    except ValueError as exc:
-        _fail(str(exc), 1)
-    click.echo(format_crossings(word_to_crossings(w)))
+    click.echo(format_crossings(word_to_crossings(parse_word(word_text, strands))))
 
 
 @main.command("from-crossings", context_settings={"ignore_unknown_options": True})
@@ -135,14 +141,7 @@ def cmd_crossings(strands, word_text):
 @click.argument("crossing_text")
 def cmd_from_crossings(strands, crossing_text):
     """Print the braid word of CROSSING_TEXT."""
-    try:
-        c = parse_crossings(crossing_text, strands)
-        w = crossings_to_word(c)
-    except InvalidCrossing as exc:
-        _fail(f"invalid crossing at position {exc.position}", 1)
-    except ValueError as exc:
-        _fail(str(exc), 1)
-    click.echo(format_word(w))
+    click.echo(format_word(crossings_to_word(parse_crossings(crossing_text, strands))))
 
 
 @main.command("residue", context_settings={"ignore_unknown_options": True})
@@ -152,17 +151,8 @@ def cmd_from_crossings(strands, crossing_text):
 @click.argument("crossing_text")
 def cmd_residue(strands, strategy_text, max_steps, crossing_text):
     """Rewrite CROSSING_TEXT until no rule applies."""
-    try:
-        c = parse_crossings(crossing_text, strands)
-        strategy = _parse_strategy(strategy_text)
-    except ValueError as exc:
-        _fail(str(exc), 1)
-    try:
-        r = residue(c, strategy, max_steps=max_steps)
-    except StepBudgetExceeded as exc:
-        _fail(str(exc), 2)
-    except ValueError as exc:
-        _fail(str(exc), 1)
+    c = parse_crossings(crossing_text, strands)
+    r = residue(c, _parse_strategy(strategy_text), max_steps=max_steps)
     click.echo(format_crossings(r))
 
 
@@ -173,11 +163,8 @@ def cmd_residue(strands, strategy_text, max_steps, crossing_text):
 @click.option("--pretty", is_flag=True)
 def cmd_random(strands, stop_text, seed, pretty):
     """Sample a random braid, printed in normal form."""
-    try:
-        stop = tuple(float(tok) for tok in stop_text.split(",") if tok.strip())
-        params = RandomParams(strands, stop, seed)
-    except ValueError as exc:
-        _fail(str(exc), 1)
+    stop = tuple(float(tok) for tok in stop_text.split(",") if tok.strip())
+    params = RandomParams(strands, stop, seed)
     click.echo(format_word(nf_to_word(random_braid(params)), pretty=pretty))
 
 
@@ -188,15 +175,9 @@ def cmd_random(strands, stop_text, seed, pretty):
 @click.argument("word2")
 def cmd_equal(strands, max_steps, word1, word2):
     """Print "equal" or "not-equal" for two words."""
-    try:
-        u = parse_word(word1, strands)
-        v = parse_word(word2, strands)
-    except ValueError as exc:
-        _fail(str(exc), 1)
-    try:
-        same = normal_form(u, max_steps=max_steps) == normal_form(v, max_steps=max_steps)
-    except StepBudgetExceeded as exc:
-        _fail(str(exc), 2)
+    u = parse_word(word1, strands)
+    v = parse_word(word2, strands)
+    same = normal_form(u, max_steps=max_steps) == normal_form(v, max_steps=max_steps)
     click.echo("equal" if same else "not-equal")
 
 
@@ -209,26 +190,19 @@ def cmd_artin(max_steps, action, words):
 
     Words use letters a, b with upper case for inverses, e.g. "abAB".
     """
-    try:
-        parsed = [artin_mod.parse_artin(t) for t in words]
-        if action == "normalize":
-            if len(parsed) != 1:
-                raise ValueError("normalize takes exactly one word")
-        elif len(parsed) != 2:
+    parsed = [artin_mod.parse_artin(t) for t in words]
+    if action == "normalize":
+        if len(parsed) != 1:
+            raise ValueError("normalize takes exactly one word")
+        nf = artin_mod.normalize_a(parsed[0], max_steps=max_steps)
+        a_part = ("a" if nf.m >= 0 else "A") * abs(nf.m)
+        click.echo(a_part + str(nf.w1))
+        click.echo(f"m = {nf.m}", err=True)
+    else:
+        if len(parsed) != 2:
             raise ValueError("equal takes exactly two words")
-    except ValueError as exc:
-        _fail(str(exc), 1)
-    try:
-        if action == "normalize":
-            nf = artin_mod.normalize_a(parsed[0], max_steps=max_steps)
-            a_part = ("a" if nf.m >= 0 else "A") * abs(nf.m)
-            click.echo(a_part + str(nf.w1))
-            click.echo(f"m = {nf.m}", err=True)
-        else:
-            same = artin_mod.equal_a(parsed[0], parsed[1], max_steps=max_steps)
-            click.echo("equal" if same else "not-equal")
-    except StepBudgetExceeded as exc:
-        _fail(str(exc), 2)
+        same = artin_mod.equal_a(parsed[0], parsed[1], max_steps=max_steps)
+        click.echo("equal" if same else "not-equal")
 
 
 @main.command("diagram", context_settings={"ignore_unknown_options": True})
@@ -238,16 +212,9 @@ def cmd_artin(max_steps, action, words):
 @click.argument("word_text")
 def cmd_diagram(strands, out_path, bold, word_text):
     """Write an SVG diagram of WORD_TEXT to --out."""
-    try:
-        w = parse_word(word_text, strands)
-        svg = render_svg(w, bold=bold)
-    except ValueError as exc:
-        _fail(str(exc), 1)
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        _fail(str(exc), 1)
+    svg = render_svg(parse_word(word_text, strands), bold=bold)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(svg)
 
 
 if __name__ == "__main__":

@@ -84,16 +84,14 @@ def crossings_to_word(c: CrossingSequence) -> BraidWord:
     Each crossing requires its two strands to occupy adjacent positions at its
     point in the trace; the emitted letter is the position of the lower one.
     """
-    arr = list(range(1, c.strands + 1))
+    at = list(range(c.strands + 1))  # at[s]: the position of strand s
     letters = []
     for pos, item in enumerate(c.items, start=1):
-        p = arr.index(item.low)
-        q = arr.index(item.high)
+        p, q = at[item.low], at[item.high]
         if abs(p - q) != 1:
             raise InvalidCrossing(pos, item)
-        lo = min(p, q)
-        letters.append((lo + 1) * item.sign)
-        arr[lo], arr[lo + 1] = arr[lo + 1], arr[lo]
+        letters.append(min(p, q) * item.sign)
+        at[item.low], at[item.high] = q, p
     return BraidWord(c.strands, tuple(letters))
 
 

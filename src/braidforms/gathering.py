@@ -139,15 +139,14 @@ def gather_strand(
 def normal_form(w: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> NormalForm:
     """Compute the unique block-structured normal form of ``w``."""
     cur = free_reduce(w)
+    blocks = [BraidWord(w.strands)] * (w.strands - 2)
     # x_i crosses positions i, i+1 only and no step raises a generator, so
-    # every block above top is empty
-    top = min(w.strands, max(map(abs, cur.letters), default=0) + 1)
-    blocks: list[BraidWord] = []
-    for k in range(top, 2, -1):
-        cur, block = gather_strand(cur, k, max_steps=max_steps)
-        blocks.append(block)
-    blocks.reverse()
-    blocks += [BraidWord(w.strands)] * (w.strands - max(top, 2))
+    # strand k is crossed only if k <= max|letter| + 1; once strand k is
+    # gathered the prefix avoids it, so it uses x_1 .. x_{k-2} only
+    k = min(w.strands, max(map(abs, cur.letters), default=0) + 1)
+    while k > 2:
+        cur, blocks[k - 3] = gather_strand(cur, k, max_steps=max_steps)
+        k = min(k - 1, max(map(abs, cur.letters), default=0) + 1)
     # what is left uses x1 only and is freely reduced, hence a single power
     m = sum(1 if t > 0 else -1 for t in cur.letters)
     return NormalForm(w.strands, m, tuple(blocks))

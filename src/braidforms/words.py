@@ -87,16 +87,13 @@ def inverse(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(-t for t in reversed(w.letters)))
 
 
-def concat(u: BraidWord, v: BraidWord, reduce: bool = False) -> BraidWord:
+def concat(u: BraidWord, v: BraidWord) -> BraidWord:
     """Juxtapose two words over the same strand count."""
     if u.strands != v.strands:
         raise ValueError(
             f"strand count mismatch: {u.strands} vs {v.strands}"
         )
-    letters = u.letters + v.letters
-    if reduce:
-        letters = reduce_letters(letters)
-    return BraidWord(u.strands, letters)
+    return BraidWord(u.strands, u.letters + v.letters)
 
 
 def permutation(w: BraidWord) -> tuple[int, ...]:

@@ -1,5 +1,7 @@
 """Command-line interface: text formats, exit codes, thin-adapter behavior."""
 
+import errno
+
 import click.testing
 import pytest
 
@@ -69,6 +71,15 @@ class TestNormalize:
         blowup = " ".join(map(str, (3, 3, 2, 2, 1, 1, 2, 2) * 4))
         res = run(runner, "normalize", "--strands", "4", "--max-steps", "5", blowup)
         assert res.exit_code == 2
+
+    def test_closed_stdout_exits_1_quietly(self, runner, monkeypatch):
+        def closed(*args, **kwargs):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(cli, "normal_form", closed)
+        res = run(runner, "normalize", "--strands", "3", "1")
+        assert res.exit_code == 1
+        assert res.stderr == ""
 
 
 class TestCrossings:

@@ -87,6 +87,20 @@ class TestWordExample:
         assert exc.value.position == 3
 
 
+class TestManyStrands:
+    N = 10**5
+
+    def test_round_trip(self):
+        w = word(self.N, [self.N - 1, self.N - 2] * 500)
+        assert crossings_to_word(word_to_crossings(w)) == w
+
+    def test_invalid_position_reported(self):
+        c = sequence(self.N, [(self.N - 1, self.N, 1), (self.N - 2, self.N, 1), (1, self.N, 1)])
+        with pytest.raises(InvalidCrossing) as exc:
+            crossings_to_word(c)
+        assert exc.value.position == 3
+
+
 class TestRoundTrips:
     @given(words_strategy(5))
     def test_word_crossings_word(self, w):

@@ -154,9 +154,13 @@ class TestNormalForm:
         assert normal_form(word(n, [1])) == NormalForm(n, 1, (word(n),) * (n - 2))
         assert calls == []
         nf = normal_form(word(100, [5]))
-        assert calls == [6, 5, 4, 3]
+        assert calls == [6]
         assert nf_to_word(nf) == word(100, [5])
         assert nf.block(6) == word(100, [5])
+        for letters, form in (([n - 1], [n - 1]), ([n - 1, 1], [1, n - 1])):
+            calls.clear()
+            assert nf_to_word(normal_form(word(n, letters))) == word(n, form)
+            assert calls == [n]
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Crossing-level rewriting: termination, confluence, agreement with gathering."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -22,9 +23,9 @@ from braidforms import (
     word,
     word_to_crossings,
 )
-from braidforms.crossings import CrossingSequence, sequence
+from braidforms.crossings import CrossingSequence, crossing, sequence
 from braidforms.oracle import burau, random_word
-from braidforms.rewriting import EXCEEDED
+from braidforms.rewriting import EXCEEDED, _match_pair, _match_triple
 
 
 def random_sequences(strands, count, max_len, seed):
@@ -75,6 +76,11 @@ class TestRuleApplication:
         other = sequence(3, [(2, 3, 1), (1, 3, 1), (1, 2, 1)])
         with pytest.raises(PatternMismatch):
             apply_rule(other, site)
+
+    def test_at_most_one_rule_per_site(self):
+        items = [crossing(a, b, s) for a, b in combinations(range(1, 6), 2) for s in (1, -1)]
+        for u, v, w in product(items, repeat=3):
+            assert _match_pair(u, v) is None or _match_triple(u, v, w) is None
 
     def test_each_application_sound(self):
         rng = random.Random(9)
@@ -144,20 +150,6 @@ class TestResidue:
             lhs = residue(word_to_crossings(w))
             rhs = word_to_crossings(nf_to_word(normal_form(w)))
             assert lhs == rhs
-
-    def test_com_necessity_recorded(self, capsys):
-        """Whether disabling COM changes residues is recorded, not assumed."""
-        differing = 0
-        total = 0
-        for c in random_sequences(4, 40, 10, seed=29):
-            with_com = residue(c, use_com=True)
-            without_com = residue(c, use_com=False)
-            assert applicable_sites(without_com, use_com=False) == []
-            total += 1
-            if with_com != without_com:
-                differing += 1
-        print(f"residues without COM differ in {differing}/{total} cases")
-        assert total == 40
 
 
 class TestMaxChainLength:

@@ -111,7 +111,7 @@ class TestConcat:
     def test_optional_reduction(self):
         u, v = word(3, [1, 2]), word(3, [-2, 1])
         assert concat(u, v).letters == (1, 2, -2, 1)
-        assert concat(u, v, reduce=True).letters == (1, 1)
+        assert free_reduce(concat(u, v)).letters == (1, 1)
 
 
 class TestAij:
