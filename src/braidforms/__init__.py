@@ -20,7 +20,6 @@ from .crossings import (
     Crossing,
     CrossingSequence,
     InvalidCrossing,
-    canonical_index,
     classify,
     crossing,
     crossings_to_word,
@@ -28,7 +27,7 @@ from .crossings import (
     validate,
     word_to_crossings,
 )
-from .errors import NoRuleMatches, PatternMismatch, StepBudgetExceeded
+from .errors import NoRuleMatches, StepBudgetExceeded
 from .gathering import (
     NormalForm,
     check_b3_parity,
@@ -51,7 +50,6 @@ from .rewriting import (
     RewriteSite,
     Strategy,
     applicable_sites,
-    apply_rule,
     max_chain_length,
     residue,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "LEFTMOST",
     "NoRuleMatches",
     "NormalForm",
-    "PatternMismatch",
     "RIGHTMOST",
     "RandomParams",
     "RewriteRule",
@@ -86,8 +83,6 @@ __all__ = [
     "aij",
     "allowed_moves",
     "applicable_sites",
-    "apply_rule",
-    "canonical_index",
     "check_b3_parity",
     "classify",
     "concat",

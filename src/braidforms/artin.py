@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import gathering
 from .errors import DEFAULT_STEP_BUDGET, NoRuleMatches, StepBudgetExceeded
 from .words import BraidWord, reduce_letters
 
@@ -58,9 +57,6 @@ class ArtinWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def is_reduced(self) -> bool:
-        return all(a != -b for a, b in zip(self.letters, self.letters[1:]))
-
     def __str__(self) -> str:
         return "".join({1: "a", -1: "A", 2: "b", -2: "B"}[t] for t in self.letters)
 
@@ -78,10 +74,6 @@ def parse_artin(text: str) -> ArtinWord:
 class ArtinNormalForm:
     m: int
     w1: ArtinWord
-
-
-def free_reduce_artin(w: ArtinWord) -> ArtinWord:
-    return ArtinWord(reduce_letters(w.letters))
 
 
 def word_image(w: ArtinWord) -> SquareReflection:
@@ -208,6 +200,8 @@ def embed_b3(w: ArtinWord) -> BraidWord:
 
 
 def equal_a(u: ArtinWord, v: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
-    """Group equality via the braid embedding and its normal forms."""
-    nf_u = gathering.normal_form(embed_b3(u), max_steps=max_steps)
-    return nf_u == gathering.normal_form(embed_b3(v), max_steps=max_steps)
+    """Group equality: the normal forms of ``u`` and ``v`` are the same.
+
+    ``max_steps`` bounds the gathering transformations of each word.
+    """
+    return normalize_a(u, max_steps) == normalize_a(v, max_steps)

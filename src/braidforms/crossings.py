@@ -9,9 +9,9 @@ membership in a finite automaton over strand arrangements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .words import BraidWord, identity_arrangement, permutation
+from .words import BraidWord, identity_arrangement
 
 
 class Crossing(NamedTuple):
@@ -108,28 +108,11 @@ def validate(c: CrossingSequence) -> bool:
     return True
 
 
-def final_arrangement(c: CrossingSequence) -> tuple[int, ...]:
-    """Automaton state after consuming a valid sequence."""
-    return permutation(crossings_to_word(c))
-
-
 def classify(c: CrossingSequence, k: int) -> tuple[str, ...]:
     """Label each item 'big' or 'small' relative to the distinguished strand k."""
     if not (1 <= k <= c.strands):
         raise ValueError(f"strand {k} out of range for {c.strands} strands")
     return tuple("big" if k in (x.low, x.high) else "small" for x in c.items)
-
-
-def is_big(item: Crossing, k: int) -> bool:
-    return k in (item.low, item.high)
-
-
-def canonical_index(x: Crossing) -> int:
-    """Rank of the strand pair in the order |1,2| < |1,3| < |2,3| < |1,4| < ...
-
-    Pairs are sorted by high strand, then low strand; ranks start at 1.
-    """
-    return (x.high - 1) * (x.high - 2) // 2 + x.low
 
 
 def materialize_automaton(strands: int) -> dict[tuple[int, ...], dict[Crossing, tuple[int, ...]]]:
@@ -159,8 +142,3 @@ def materialize_automaton(strands: int) -> dict[tuple[int, ...], dict[Crossing, 
             frontier.append(nxt_t)
         table[state] = edges
     return table
-
-
-def sequence(strands: int, pairs: Iterable[tuple[int, int, int]]) -> CrossingSequence:
-    """Build a CrossingSequence from (low, high, sign) triples."""
-    return CrossingSequence(strands, tuple(crossing(a, b, s) for a, b, s in pairs))

@@ -23,7 +23,3 @@ class StepBudgetExceeded(RuntimeError):
 
 class NoRuleMatches(RuntimeError):
     """No transformation pattern matched where one must; internal invariant broken."""
-
-
-class PatternMismatch(ValueError):
-    """A rewrite site no longer matches the sequence it was computed for."""

@@ -75,10 +75,9 @@ def allowed_moves(k: int, letters: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def random_block(
-    k: int, s: float, rng: random.Random, strands: int | None = None
-) -> BraidWord:
-    """Random block entangling strand k+1 into the first k, over x_1 .. x_k.
+def random_block(k: int, s: float, rng: random.Random, strands: int) -> BraidWord:
+    """Random block entangling strand k+1 into the first k, over x_1 .. x_k,
+    as a word on ``strands`` strands.
 
     The walk starts with the distinguished strand at position k+1, so the
     first letter is always x_k^{+-1}.
@@ -87,8 +86,6 @@ def random_block(
         raise ValueError(f"stopping probability {s} not in (0, 1]")
     if k < 1:
         raise ValueError(f"block index must be >= 1, got {k}")
-    if strands is None:
-        strands = k + 1
     letters: list[int] = []
     while rng.random() >= s:
         moves = allowed_moves(k, tuple(letters))

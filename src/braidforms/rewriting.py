@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .crossings import Crossing, CrossingSequence, crossing, validate
-from .errors import DEFAULT_STEP_BUDGET, PatternMismatch, StepBudgetExceeded
+from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,6 @@ def applicable_sites(c: CrossingSequence) -> list[RewriteSite]:
 def _splice(items: tuple[Crossing, ...], p: int, rule: RewriteRule) -> tuple[Crossing, ...]:
     """``items`` with the rule's replacement over its span at ``p``."""
     return items[:p] + rule.replacement + items[p + rule.length :]
-
-
-def apply_rule(c: CrossingSequence, site: RewriteSite) -> CrossingSequence:
-    """Splice the rule's replacement over its matched span."""
-    current = _match_at(c.items, site.position)
-    if current is None or current != site.rule:
-        raise PatternMismatch(f"site {site} does not match the sequence")
-    return CrossingSequence(c.strands, _splice(c.items, site.position, site.rule))
 
 
 def _gathering_order(

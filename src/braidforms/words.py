@@ -9,18 +9,7 @@ immutable values; equality is letter-for-letter, never group equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
-
-
-class Generator(NamedTuple):
-    """A single letter x_index^sign with sign in {+1, -1}."""
-
-    index: int
-    sign: int
-
-    @property
-    def token(self) -> int:
-        return self.index * self.sign
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -49,9 +38,6 @@ class BraidWord:
 
     def __iter__(self):
         return iter(self.letters)
-
-    def generators(self) -> list[Generator]:
-        return [Generator(abs(t), 1 if t > 0 else -1) for t in self.letters]
 
     def is_reduced(self) -> bool:
         return all(a != -b for a, b in zip(self.letters, self.letters[1:]))

@@ -39,12 +39,13 @@ from braidforms import (
     word_to_crossings,
 )
 from braidforms.artin import word_image
-from braidforms.crossings import CrossingSequence, crossing, sequence
+from braidforms.crossings import CrossingSequence, crossing
 from braidforms.errors import StepBudgetExceeded
 from braidforms.oracle import burau, mutate, random_word
 from braidforms.rewriting import LEFTMOST, RIGHTMOST, Strategy
 
 from .test_artin import artin_mutate, as_word, rand_artin, step_words
+from .test_crossings import sequence
 
 EXAMPLE = (3, -2, -2, 1)
 EXAMPLE_NF = (1, 3, 2, -1, -1, -2)

@@ -1,6 +1,7 @@
 """Normal forms in the Artin group <a, b | abab = baba>."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -21,13 +22,12 @@ from braidforms.artin import (
     IDENT,
     ArtinNormalForm,
     compose,
-    free_reduce_artin,
     invert,
     word_image,
 )
 from braidforms.errors import StepBudgetExceeded
 from braidforms.oracle import burau
-from braidforms.words import concat, inverse
+from braidforms.words import concat, inverse, reduce_letters
 
 
 def rand_artin(rng, max_len=12, min_len=0):
@@ -213,7 +213,7 @@ class TestNormalizeA:
         for _ in range(60):
             nf = normalize_a(rand_artin(rng))
             assert A_BAR not in reflection_sequence(nf.w1)
-            assert free_reduce_artin(nf.w1) == nf.w1
+            assert reduce_letters(nf.w1.letters) == nf.w1.letters
 
     def test_idempotent(self):
         rng = random.Random(20)
@@ -288,7 +288,35 @@ class TestEqualA:
             assert equal_a(w, as_word(normalize_a(w)))
 
     def test_budget(self):
-        u, v = parse_artin("ba"), parse_artin("ab")
+        u, v = parse_artin("baba"), parse_artin("abab")
         with pytest.raises(StepBudgetExceeded):
             equal_a(u, v, max_steps=0)
-        assert not equal_a(u, v, max_steps=10)
+        assert equal_a(u, v, max_steps=10)
+
+    def test_same_partition_as_burau(self):
+        """On every reduced word of at most 6 letters, normal forms split the
+        words into the classes that Burau of the B3 embedding does.  Burau is
+        faithful on B3 and the embedding is injective, so this is a complete
+        check that shares no code with normalize_a."""
+        words = [
+            ArtinWord(letters)
+            for n in range(7)
+            for letters in product((1, -1, 2, -2), repeat=n)
+            if reduce_letters(letters) == letters
+        ]
+        classes: dict = {}
+        for w in words:
+            classes.setdefault(burau(embed_b3(w)), []).append(w)
+        firsts = [cls[0] for cls in classes.values()]
+        assert (len(words), len(firsts)) == (1457, 1129)
+        forms = [{normalize_a(w) for w in cls} for cls in classes.values()]
+        assert all(len(f) == 1 for f in forms)
+        assert len(set.union(*forms)) == len(firsts)
+        # equal_a itself: each word against its class and two other classes
+        rng = random.Random(27)
+        for i, cls in enumerate(classes.values()):
+            for w in cls:
+                j = (i + 1 + rng.randrange(len(firsts) - 1)) % len(firsts)
+                assert equal_a(w, firsts[i])
+                assert not equal_a(w, firsts[i - 1])
+                assert not equal_a(w, firsts[j])

@@ -12,8 +12,9 @@ from braidforms.cli import (
     parse_crossings,
     parse_word,
 )
-from braidforms.crossings import sequence
 from braidforms.words import word
+
+from .test_crossings import sequence
 
 
 @pytest.fixture()
@@ -191,6 +192,7 @@ class TestArtin:
         res = run(runner, "artin", "equal", "--max-steps", "1", "bbabba", "abab")
         assert res.exit_code == 2
         assert res.stdout == ""
+        assert res.stderr == "step budget of 1 exceeded while normalizing Artin word\n"
 
 
 class TestDiagram:

@@ -11,7 +11,6 @@ from braidforms import (
     BraidWord,
     Crossing,
     InvalidCrossing,
-    canonical_index,
     classify,
     crossing,
     crossings_to_word,
@@ -20,10 +19,15 @@ from braidforms import (
     word,
     word_to_crossings,
 )
-from braidforms.crossings import CrossingSequence, final_arrangement, is_big, sequence
+from braidforms.crossings import CrossingSequence
 from braidforms.words import permutation
 
 from .test_words import words_strategy
+
+
+def sequence(strands, pairs):
+    """Build a CrossingSequence from (low, high, sign) triples."""
+    return CrossingSequence(strands, tuple(crossing(a, b, s) for a, b, s in pairs))
 
 
 def crossing_strategy(strands: int):
@@ -122,7 +126,7 @@ class TestRoundTrips:
 
     @given(words_strategy(4))
     def test_final_state_is_permutation(self, w):
-        assert final_arrangement(word_to_crossings(w)) == permutation(w)
+        assert permutation(crossings_to_word(word_to_crossings(w))) == permutation(w)
 
     @given(words_strategy(4), st.integers(0, 40), st.sampled_from([1, -1]))
     def test_adjacent_inverse_bridging(self, w, pos, s):
@@ -139,24 +143,9 @@ class TestClassification:
         c = word_to_crossings(word(4, [3, -2, -2, 1]))
         assert classify(c, 4) == ("big", "big", "big", "small")
 
-    def test_is_big(self):
-        assert is_big(crossing(2, 4), 4)
-        assert not is_big(crossing(2, 3), 4)
-
     def test_range_checked(self):
         with pytest.raises(ValueError):
             classify(CrossingSequence(3), 4)
-
-    def test_canonical_index_order(self):
-        ranked = sorted(
-            (crossing(lo, hi) for hi in range(2, 5) for lo in range(1, hi)),
-            key=canonical_index,
-        )
-        assert [(x.low, x.high) for x in ranked] == [
-            (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4),
-        ]
-        indices = [canonical_index(x) for x in ranked]
-        assert indices == list(range(1, 7))
 
 
 class TestAutomaton:
@@ -181,7 +170,7 @@ class TestAutomaton:
                 state = table[state][x]
             c = CrossingSequence(3, tuple(items))
             assert validate(c)
-            assert final_arrangement(c) == state
+            assert permutation(crossings_to_word(c)) == state
 
     def test_normal_forms_accepted_by_automaton(self):
         """Block-ordered residues stay inside the validity language (the

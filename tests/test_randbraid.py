@@ -103,21 +103,21 @@ class TestRandomBlock:
         rng = random.Random(7)
         for k in (2, 3, 4):
             for _ in range(60):
-                block = random_block(k, 0.3, rng)
+                block = random_block(k, 0.3, rng, k + 1)
                 labels = classify(word_to_crossings(block), k + 1)
                 assert set(labels) <= {"big"}
 
     def test_first_letter_is_outermost_generator(self):
         rng = random.Random(8)
         for _ in range(60):
-            block = random_block(3, 0.4, rng)
+            block = random_block(3, 0.4, rng, 4)
             if block.letters:
                 assert abs(block.letters[0]) == 3
 
     def test_blocks_freely_reduced(self):
         rng = random.Random(9)
         for _ in range(60):
-            assert random_block(3, 0.3, rng).is_reduced()
+            assert random_block(3, 0.3, rng, 4).is_reduced()
 
 
 class TestRandomBraid:
