@@ -21,6 +21,7 @@ from braidforms import (
     word,
     word_to_crossings,
 )
+from braidforms import rewriting
 from braidforms.crossings import CrossingSequence, crossing
 from braidforms.oracle import burau, random_word
 from braidforms.rewriting import EXCEEDED, _match_pair, _match_triple, _splice
@@ -29,8 +30,33 @@ from .test_crossings import sequence
 
 
 def apply_site(c, site):
-    """Rewrite ``c`` at ``site``, as ``residue`` and ``max_chain_length`` do."""
+    """Rewrite ``c`` at ``site``, as ``max_chain_length`` does."""
     return CrossingSequence(c.strands, _splice(c.items, site.position, site.rule))
+
+
+def rescan_chain(c, strategy):
+    """Every sequence of ``residue``'s chain, rescanning all sites at each step.
+
+    Keeps the D sites and the reorderings of the highest strand that has
+    one, then picks as the strategy does.
+    """
+    rng = random.Random(strategy.seed) if strategy.kind == "random" else None
+    items = c.items
+    while True:
+        yield CrossingSequence(c.strands, items)
+        sites = applicable_sites(items)
+        highs = [items[s.position].high for s in sites if s.rule.template != "D"]
+        top = max(highs, default=0)
+        sites = [s for s in sites if s.rule.template == "D" or items[s.position].high == top]
+        if not sites:
+            return
+        if strategy.kind == "leftmost":
+            site = sites[0]
+        elif strategy.kind == "rightmost":
+            site = sites[-1]
+        else:
+            site = sites[rng.randrange(len(sites))]
+        items = _splice(items, site.position, site.rule)
 
 
 def random_sequences(strands, count, max_len, seed):
@@ -62,18 +88,18 @@ class TestWorkedExample:
 class TestRuleApplication:
     def test_cancellation_rule(self):
         c = sequence(3, [(1, 2, 1), (1, 2, -1)])
-        sites = applicable_sites(c)
+        sites = applicable_sites(c.items)
         assert sites[0].rule.template == "D"
         assert apply_site(c, sites[0]).items == ()
 
     def test_commutation_rule(self):
         c = sequence(4, [(3, 4, 1), (1, 2, 1)])
-        sites = applicable_sites(c)
+        sites = applicable_sites(c.items)
         assert sites[0].rule.template == "COM"
         assert apply_site(c, sites[0]) == sequence(4, [(1, 2, 1), (3, 4, 1)])
 
     def test_commutation_only_toward_lower_high(self):
-        assert applicable_sites(sequence(4, [(1, 2, 1), (3, 4, 1)])) == []
+        assert applicable_sites(sequence(4, [(1, 2, 1), (3, 4, 1)]).items) == []
 
     def test_at_most_one_rule_per_site(self):
         items = [crossing(a, b, s) for a, b in combinations(range(1, 6), 2) for s in (1, -1)]
@@ -84,7 +110,7 @@ class TestRuleApplication:
         rng = random.Random(9)
         for c in random_sequences(4, 30, 10, seed=21):
             for _ in range(200):
-                sites = applicable_sites(c)
+                sites = applicable_sites(c.items)
                 if not sites:
                     break
                 nxt = apply_site(c, sites[rng.randrange(len(sites))])
@@ -102,7 +128,7 @@ class TestResidue:
 
     def test_residue_has_no_sites(self):
         for c in random_sequences(4, 25, 12, seed=22):
-            assert applicable_sites(residue(c)) == []
+            assert applicable_sites(residue(c).items) == []
 
     def test_no_adjacent_inverse_pairs(self):
         for c in random_sequences(4, 25, 12, seed=23):
@@ -141,6 +167,38 @@ class TestResidue:
         assert isinstance(reached, CrossingSequence)
         assert validate(reached)
         assert burau(crossings_to_word(reached)) == burau(w)
+
+    @pytest.mark.parametrize("strands", [3, 4, 5])
+    def test_chain_matches_full_rescan(self, strands):
+        """The site table gives the chain that rescanning every step gives."""
+        strategies = [LEFTMOST, RIGHTMOST] + [Strategy("random", s) for s in range(3)]
+        for c in random_sequences(strands, 30, 16, seed=40 + strands):
+            for strategy in strategies:
+                chain = list(rescan_chain(c, strategy))
+                steps = len(chain) - 1
+                for budget in range(steps):
+                    with pytest.raises(StepBudgetExceeded) as exc:
+                        residue(c, strategy, max_steps=budget)
+                    assert exc.value.reached == chain[budget]
+                assert residue(c, strategy, max_steps=steps) == chain[-1]
+
+    @pytest.mark.parametrize(
+        "strategy", [LEFTMOST, RIGHTMOST, Strategy("random", 0)], ids=lambda s: s.kind
+    )
+    def test_matcher_work_per_rewrite_is_bounded(self, strategy, monkeypatch):
+        """Each rewrite rematches a window of at most 9 sites, not the sequence."""
+        c = sequence(3, [(2, 3, 1)] + [(1, 3, 1)] * 200 + [(1, 3, -1)] * 200)
+        calls = [0]
+        match_at = rewriting._match_at
+
+        def counted(items, p):
+            calls[0] += 1
+            return match_at(items, p)
+
+        monkeypatch.setattr(rewriting, "_match_at", counted)
+        assert residue(c, strategy) == sequence(3, [(2, 3, 1)])
+        # one scan, then 200 cancellations
+        assert calls[0] <= len(c) + 9 * 200
 
     @pytest.mark.parametrize("strands", [3, 4])
     def test_agreement_with_gathering(self, strands, word_pool):
