@@ -3,12 +3,13 @@
 Words are whitespace-separated signed integers ("3 -2 -2 1" is x3 x2^-2 x1);
 crossing sequences are tokens "r,s" with an optional leading minus for the
 sign ("3,4 -2,4 -2,4 1,2").  Results go to stdout, diagnostics to stderr.
-Exit codes: 0 success, 1 input error, 2 step budget exceeded.
+Exit codes: 0 success, 1 input or usage error, 2 step budget exceeded.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -90,12 +91,27 @@ def _parse_strategy(text: str) -> Strategy:
     )
 
 
+@contextmanager
+def _usage_errors_exit_1():
+    """Click exits 2 on a usage error, the code of a budget trip here."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
 class _ExitCodes(click.Group):
     """The one place where errors become exit codes and stderr lines."""
 
+    def parse_args(self, ctx, args):
+        with _usage_errors_exit_1():  # the group's own options, before invoke
+            return super().parse_args(ctx, args)
+
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with _usage_errors_exit_1():
+                return super().invoke(ctx)
         # InvalidCrossing is a ValueError, so its clause comes first
         except InvalidCrossing as exc:
             _fail(f"invalid crossing at position {exc.position}", 1)
@@ -107,7 +123,7 @@ class _ExitCodes(click.Group):
             _fail(str(exc), 1)
 
 
-@click.group(cls=_ExitCodes)
+@click.group(cls=_ExitCodes, no_args_is_help=False)
 def main():
     """Braid-group normal forms, crossing sequences and random braids."""
 

@@ -32,7 +32,7 @@ class NormalForm:
         return self.blocks[k - 3]
 
 
-def _pattern_rhs(a: int, b: int, c: int) -> tuple[int, ...]:
+def pattern_rhs(a: int, b: int, c: int) -> tuple[int, ...]:
     """Replacement for the non-commuting configurations.
 
     ``a b`` are the last two letters before the gathered letter ``c``;
@@ -132,7 +132,7 @@ def gather_strand(
             z1 = big.pop()
             j = abs(z1)
             pos = j if pos == j + 1 else j + 1
-            pending.extend(reversed(_pattern_rhs(z1, z2, t)))
+            pending.extend(reversed(pattern_rhs(z1, z2, t)))
     return BraidWord(w.strands, tuple(small)), BraidWord(w.strands, tuple(big))
 
 

@@ -1,10 +1,11 @@
 """Confluent rewriting of crossing sequences.
 
 The rules act directly on sequences of crossings: three-crossing
-reorderings (I1-I4), the swap of commuting crossings (COM) and cancellation
-of adjacent inverse crossings (D).  Every maximal chain of rewrites from a
-valid sequence terminates in the same residue, which is the block-ordered
-normal form of the underlying braid.
+reorderings (I1-I4, the gathering process's ``pattern_rhs`` read on
+crossings), the swap of commuting crossings (COM) and cancellation of adjacent
+inverse crossings (D).  Every maximal chain of rewrites from a valid sequence
+terminates in the same residue, which is the block-ordered normal form of the
+underlying braid.
 
 ``residue`` rewrites in the strand order that ``normal_form`` gathers: at
 each step its strategy picks among the D sites, which are always eligible,
@@ -25,11 +26,22 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress, count, islice
+from functools import cache
+from itertools import compress, count, islice, permutations
 from typing import NamedTuple
 
-from .crossings import Crossing, CrossingSequence, validate
-from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
+from .crossings import (
+    Crossing,
+    CrossingSequence,
+    InvalidCrossing,
+    crossing,
+    crossings_to_word,
+    validate,
+    word_to_crossings,
+)
+from .errors import DEFAULT_STEP_BUDGET, NoRuleMatches, StepBudgetExceeded
+from .gathering import pattern_rhs
+from .words import BraidWord
 
 
 @dataclass(frozen=True)
@@ -81,66 +93,62 @@ def _match_pair(u: Crossing, v: Crossing) -> RewriteRule | None:
     return None
 
 
-def _match_triple(u: Crossing, v: Crossing, w: Crossing) -> RewriteRule | None:
-    """I1-I4 at ``u v w``.
+@cache
+def _lift(ru: int, rv: int, su: int, sv: int, sw: int) -> RewriteRule | None:
+    """The I-rule at ``(ru,3,su) (rv,3,sv) (1,2,sw)``, read off ``pattern_rhs``.
 
-    Crossings are built directly: ``j`` and ``l`` lie below ``k``, and the
-    crossing of ``j`` and ``l`` has ``w``'s strand pair.
+    The triple is relabelled in the first arrangement where it is valid, and
+    the pattern's replacement traced back.  Only 32 keys can occur.
     """
-    if u.high != v.high:
-        return None
-    k = u.high
-    j, l = u.low, v.low
-    if j != l:
-        if (w.low, w.high) != ((j, l) if j < l else (l, j)):
+    u, v, w = Crossing(ru, 3, su), Crossing(rv, 3, sv), Crossing(1, 2, sw)
+    for order in permutations((1, 2, 3)):
+        back = dict(enumerate(order, start=1))
+        at = {s: r for r, s in back.items()}
+        relabelled = [crossing(at[x.low], at[x.high], x.sign) for x in (u, v, w)]
+        try:
+            letters = crossings_to_word(CrossingSequence(3, relabelled)).letters
+            traced = word_to_crossings(BraidWord(3, pattern_rhs(*letters)))
+        except InvalidCrossing:
+            continue
+        except NoRuleMatches:
             return None
-        a, b = w.low, w.high
-        if v.sign == w.sign:
-            e, d = v.sign, u.sign
-            return RewriteRule(
-                "I1", 3, (Crossing(a, b, e), Crossing(l, k, e), Crossing(j, k, d))
-            )
-        if u.sign == v.sign:
-            e, d = u.sign, w.sign
-            return RewriteRule(
-                "I2", 3, (Crossing(a, b, d), Crossing(l, k, e), Crossing(j, k, e))
-            )
-        # remaining sign pattern: u and w agree, v is their inverse
-        e = u.sign
-        return RewriteRule(
-            "I4",
-            3,
-            (
-                Crossing(a, b, e),
-                Crossing(l, k, e),
-                Crossing(j, k, e),
-                Crossing(j, k, e),
-                Crossing(l, k, -e),
-                Crossing(l, k, -e),
-                Crossing(j, k, -e),
-            ),
-        )
-    # u and v are the same crossing; same sign (opposite signs fall to D)
-    if u.sign != v.sign:
+        rhs = tuple(crossing(back[x.low], back[x.high], x.sign) for x in traced)
+        if u == v:
+            template = "I3"
+        elif v.sign == w.sign:
+            template = "I1"
+        else:
+            template = "I2" if u.sign == v.sign else "I4"
+        return RewriteRule(template, 3, rhs)
+    return None
+
+
+def _match_triple(u: Crossing, v: Crossing, w: Crossing) -> RewriteRule | None:
+    """I1-I4 at ``u v w``: gathering's patterns read on crossings.
+
+    ``u`` and ``v`` cross ``k`` with ``j`` and ``l`` below it, and ``w``
+    crosses ``j`` and ``l``.  The rule depends only on the signs and the order
+    of the three strands, so it is lifted on strands 1-3 and relabelled.
+    """
+    k, j = u.high, u.low
+    # l is v's low strand, or w's other one when u and v share their pair
+    l = v.low if v.low != j else w.low + w.high - j
+    low, mid = (j, l) if j < l else (l, j)
+    if v.high != k or w.high >= k or w.low != low or w.high != mid:
         return None
-    if j not in (w.low, w.high):
+    rule = _lift(1 + (j == mid), 1 + (v.low == mid), u.sign, v.sign, w.sign)
+    if rule is None:
         return None
-    l = w.low if w.high == j else w.high
-    if l >= k:
-        return None
-    e, d = u.sign, w.sign
-    return RewriteRule(
-        "I3",
-        3,
-        (w, Crossing(l, k, d), Crossing(j, k, e), Crossing(j, k, e), Crossing(l, k, -d)),
-    )
+    at = (0, low, mid, k)
+    rhs = tuple([Crossing(at[a], at[b], e) for a, b, e in rule.replacement])
+    return RewriteRule(rule.template, 3, rhs)
 
 
 def _match_at(items: Sequence[Crossing], p: int) -> RewriteRule | None:
     """The rule at ``p``; at most one matches.
 
-    D needs equal strand pairs with opposite signs, where ``_match_triple``
-    needs equal signs; COM needs ``u.high != v.high``, where it needs equality.
+    D needs a crossing and its inverse, which start no freely reduced pattern
+    of ``pattern_rhs``; COM needs ``u.high != v.high``, where I1-I4 need equality.
     """
     if p + 1 >= len(items):
         return None

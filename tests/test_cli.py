@@ -26,6 +26,39 @@ def run(runner, *args):
     return runner.invoke(cli.main, list(args))
 
 
+class TestUsageErrors:
+    """Click's usage errors are input errors: exit 1, click's message kept."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["normalize", "1"], "Error: Missing option '--strands'."),
+            (["normalize", "--strands", "x", "1"], "Error: Invalid value for '--strands'"),
+            (["frob"], "Error: No such command 'frob'."),
+            (["--bogus"], "Error: No such option"),
+            (["artin", "frob", "a"], "Error: Invalid value for '{normalize|equal}'"),
+            ([], "Error: Missing command."),
+        ],
+    )
+    def test_exits_1(self, runner, args, message):
+        res = run(runner, *args)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert message in res.stderr
+        assert "Usage: " in res.stderr
+
+    def test_directory_as_out_exits_1(self, runner, tmp_path):
+        res = run(runner, "diagram", "--strands", "3", "--out", str(tmp_path), "1")
+        assert res.exit_code == 1
+        assert "is a directory" in res.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["normalize", "--help"]])
+    def test_help_exits_0(self, runner, args):
+        res = run(runner, *args)
+        assert res.exit_code == 0
+        assert res.stdout.startswith("Usage: ")
+
+
 class TestTextFormats:
     def test_word_round_trip(self):
         w = word(4, [3, -2, -2, 1])

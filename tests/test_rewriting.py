@@ -1,6 +1,7 @@
 """Crossing-level rewriting: termination, confluence, agreement with gathering."""
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -23,7 +24,7 @@ from braidforms import (
 )
 from braidforms import rewriting
 from braidforms.crossings import CrossingSequence, crossing
-from braidforms.oracle import burau, random_word
+from braidforms.oracle import burau, check_rule_instance, random_word
 from braidforms.rewriting import EXCEEDED, _match_pair, _match_triple, _splice
 
 from .test_crossings import sequence
@@ -57,6 +58,19 @@ def rescan_chain(c, strategy):
         else:
             site = sites[rng.randrange(len(sites))]
         items = _splice(items, site.position, site.rule)
+
+
+def arrangement_words(strands):
+    """One positive word reaching each arrangement of the strands, shortest first."""
+    found = {tuple(range(1, strands + 1)): ()}
+    frontier = list(found.items())
+    for a, letters in frontier:  # breadth first: the list grows as it is read
+        for i in range(1, strands):
+            nxt = a[: i - 1] + (a[i], a[i - 1]) + a[i + 1 :]
+            if nxt not in found:
+                found[nxt] = letters + (i,)
+                frontier.append((nxt, found[nxt]))
+    return list(found.values())
 
 
 def random_sequences(strands, count, max_len, seed):
@@ -105,6 +119,45 @@ class TestRuleApplication:
         items = [crossing(a, b, s) for a, b in combinations(range(1, 6), 2) for s in (1, -1)]
         for u, v, w in product(items, repeat=3):
             assert _match_pair(u, v) is None or _match_triple(u, v, w) is None
+
+    def test_rule_table_stays_small(self):
+        """I-rules are lifted once per strand order and signs, not per triple."""
+        items = [crossing(a, b, s) for a, b in combinations(range(1, 7), 2) for s in (1, -1)]
+        for triple in product(items, repeat=3):
+            _match_triple(*triple)
+        assert rewriting._lift.cache_info().currsize <= 32
+
+    @pytest.mark.parametrize(
+        "strands, counts",
+        [
+            (3, {"I1": 8, "I2": 4, "I3": 8, "I4": 4}),
+            (5, {"I1": 80, "I2": 40, "I3": 80, "I4": 40}),
+        ],
+    )
+    def test_triple_rules_sound(self, strands, counts):
+        """Every I-rule instance on ``strands``, audited by Burau and permutation.
+
+        Each firing triple follows a prefix word that makes it valid; the
+        audit reads words only through the crossing conversions.
+        """
+        pairs = combinations(range(1, strands + 1), 2)
+        items = [crossing(a, b, s) for a, b in pairs for s in (1, -1)]
+        prefixes = [
+            word_to_crossings(word(strands, p)).items for p in arrangement_words(strands)
+        ]
+        fired = Counter()
+        for triple in product(items, repeat=3):
+            rule = _match_triple(*triple)
+            if rule is None:
+                continue
+            prefix = next(
+                p for p in prefixes if validate(CrossingSequence(strands, p + triple))
+            )
+            before = crossings_to_word(CrossingSequence(strands, prefix + triple))
+            after = crossings_to_word(CrossingSequence(strands, prefix + rule.replacement))
+            assert check_rule_instance(before, after)
+            fired[rule.template] += 1
+        assert fired == counts
 
     def test_each_application_sound(self):
         rng = random.Random(9)
