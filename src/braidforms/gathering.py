@@ -86,13 +86,20 @@ def gather_strand(
 
     Letters are consumed left to right while the position of strand k and the
     accumulated small prefix / big run are maintained incrementally, so each
-    elementary transformation costs O(1) instead of a full re-trace.  With
-    ``max_steps`` = s, a budget trip's ``reached`` is the word after step s.
+    elementary transformation costs O(1) instead of a full re-trace.  A small
+    letter that meets the big run is bubbled left through all of it: a
+    distant big letter commutes past it, and an adjacent one is rewritten
+    with the big letter before it by ``pattern_rhs``, whose first letter is
+    small and bubbles on while the rest wait to be consumed.  Rules are
+    memoized in a dict local to the call.  Each commutation or pattern is one
+    step; with ``max_steps`` = s, a budget trip's ``reached`` is the word
+    after step s.
     """
     small: list[int] = []
     big: list[int] = []
     pos = k
     pending = list(reversed(w.letters))
+    rules: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
     steps = 0
     while pending:
         t = pending.pop()
@@ -106,33 +113,39 @@ def gather_strand(
             # move the popped letter made
             pos = i if pos == i + 1 else i + 1
             continue
-        if not big:
-            if small and small[-1] == -t:
-                small.pop()
-            else:
-                small.append(t)
-            continue
-        # a small letter stuck behind the big run: bubble it left
-        if steps >= max_steps:
-            reached = BraidWord(w.strands, tuple(small + big + [t] + pending[::-1]))
-            raise StepBudgetExceeded(max_steps, f"gathering strand {k}", reached)
-        steps += 1
-        z2 = big.pop()
-        j = abs(z2)
-        pos = j if pos == j + 1 else j + 1
-        if abs(j - i) != 1:
-            # distant (or identical) generators commute
-            pending.append(z2)
-            pending.append(t)
-        else:
-            if not big:
-                raise NoRuleMatches(
-                    f"single-letter big run before small letter x{i}"
+        # t is small; held stacks the letters it leaves behind, as pending does
+        held: list[int] = []
+        while big:
+            if steps >= max_steps:
+                reached = tuple(small + big + [t] + held[::-1] + pending[::-1])
+                raise StepBudgetExceeded(
+                    max_steps, f"gathering strand {k}", BraidWord(w.strands, reached)
                 )
+            steps += 1
+            z2 = big.pop()
+            if abs(abs(z2) - i) != 1:
+                # distant generators commute: a small letter never shares a
+                # generator with the big letter before it
+                held.append(z2)
+                continue
+            if not big:
+                raise NoRuleMatches(f"single-letter big run before small letter x{i}")
             z1 = big.pop()
-            j = abs(z1)
-            pos = j if pos == j + 1 else j + 1
-            pending.extend(reversed(pattern_rhs(z1, z2, t)))
+            key = (z1, z2, t)
+            rule = rules.get(key)
+            if rule is None:
+                rhs = pattern_rhs(z1, z2, t)
+                rule = rules[key] = (rhs[0], rhs[:0:-1])
+            t, tail = rule
+            i = abs(t)
+            held.extend(tail)
+        # the big run is empty, so strand k is back at position k
+        pos = k
+        if small and small[-1] == -t:
+            small.pop()
+        else:
+            small.append(t)
+        pending.extend(held)
     return BraidWord(w.strands, tuple(small)), BraidWord(w.strands, tuple(big))
 
 

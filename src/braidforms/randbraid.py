@@ -55,6 +55,17 @@ def random_power(s: float, rng: random.Random) -> int:
     return m
 
 
+def _moves(k: int, p: int, last: int) -> tuple[int, ...]:
+    """Letters on x_1 .. x_k that cross position p and do not cancel ``last``."""
+    return tuple(
+        q * sign
+        for q in (p - 1, p)
+        if 1 <= q <= k
+        for sign in (1, -1)
+        if q * sign != -last
+    )
+
+
 def allowed_moves(k: int, letters: tuple[int, ...]) -> tuple[int, ...]:
     """Letters that may extend a partial block for strand k+1.
 
@@ -65,14 +76,7 @@ def allowed_moves(k: int, letters: tuple[int, ...]) -> tuple[int, ...]:
     p = k + 1  # position of the distinguished strand
     for t in letters:
         p = p - 1 if abs(t) == p - 1 else p + 1
-    last = letters[-1] if letters else 0
-    return tuple(
-        q * sign
-        for q in (p - 1, p)
-        if 1 <= q <= k
-        for sign in (1, -1)
-        if q * sign != -last
-    )
+    return _moves(k, p, letters[-1] if letters else 0)
 
 
 def random_block(k: int, s: float, rng: random.Random, strands: int) -> BraidWord:
@@ -80,16 +84,20 @@ def random_block(k: int, s: float, rng: random.Random, strands: int) -> BraidWor
     as a word on ``strands`` strands.
 
     The walk starts with the distinguished strand at position k+1, so the
-    first letter is always x_k^{+-1}.
+    first letter is always x_k^{+-1}.  It tracks the strand's position and
+    the last letter, so each letter costs O(1).
     """
     if not 0.0 < s <= 1.0:
         raise ValueError(f"stopping probability {s} not in (0, 1]")
     if k < 1:
         raise ValueError(f"block index must be >= 1, got {k}")
     letters: list[int] = []
+    p, last = k + 1, 0
     while rng.random() >= s:
-        moves = allowed_moves(k, tuple(letters))
-        letters.append(moves[rng.randrange(len(moves))])
+        moves = _moves(k, p, last)
+        last = moves[rng.randrange(len(moves))]
+        letters.append(last)
+        p = p - 1 if abs(last) == p - 1 else p + 1
     return BraidWord(strands, tuple(letters))
 
 

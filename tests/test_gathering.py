@@ -86,6 +86,53 @@ class TestGatherStrand:
             gather_strand(w, 4, max_steps=10)
         assert check_rule_instance(w, exc.value.reached)
 
+    def test_stuck_letter_stays_small_through_each_pattern(self):
+        # gather_strand bubbles a small letter through the big run without
+        # re-testing it: this holds for every stuck configuration in B9
+        def is_big(p, t):
+            return p in (abs(t), abs(t) + 1)
+
+        def move(p, t):
+            return abs(t) if p == abs(t) + 1 else abs(t) + 1
+
+        gens = [i * s for i in range(1, 9) for s in (1, -1)]
+        cases = 0
+        for p in range(1, 10):
+            for z1 in (z for z in gens if is_big(p, z)):
+                q = move(p, z1)
+                for z2 in (z for z in gens if z != -z1 and is_big(q, z)):
+                    r = move(q, z2)
+                    for t in gens:
+                        if is_big(r, t) or abs(abs(z2) - abs(t)) != 1:
+                            continue
+                        cases += 1
+                        rhs = gathering.pattern_rhs(z1, z2, t)
+                        assert not is_big(p, rhs[0])
+                        s = p
+                        for x in rhs[1:]:
+                            assert is_big(s, x)
+                            s = move(s, x)
+                        assert s == r
+        assert cases == 168
+
+    def test_rules_memoized_and_steps_pinned(self, monkeypatch):
+        w = free_reduce(word(4, (3, 3, 2, 2, 1, 1, 2, 2) * 4))
+        calls = []
+        real = gathering.pattern_rhs
+
+        def counted(a, b, c):
+            calls.append((a, b, c))
+            return real(a, b, c)
+
+        monkeypatch.setattr(gathering, "pattern_rhs", counted)
+        prefix, block = gather_strand(w, 4)
+        assert len(calls) == len(set(calls)) == 21
+        assert (len(prefix.letters), len(block.letters)) == (24, 5356)
+        with pytest.raises(StepBudgetExceeded) as exc:
+            gather_strand(w, 4, max_steps=11152)
+        assert check_rule_instance(w, exc.value.reached)
+        assert gather_strand(w, 4, max_steps=11153) == (prefix, block)
+
 
 class TestNormalForm:
     @pytest.mark.parametrize("strands", [3, 4, 5])

@@ -119,6 +119,21 @@ class TestRandomBlock:
         for _ in range(60):
             assert random_block(3, 0.3, rng, 4).is_reduced()
 
+    def test_same_samples_as_replaying_allowed_moves(self):
+        # reference walk: recompute the moves from the whole prefix each time
+        def replayed(k, s, rng):
+            letters = []
+            while rng.random() >= s:
+                moves = allowed_moves(k, tuple(letters))
+                letters.append(moves[rng.randrange(len(moves))])
+            return tuple(letters)
+
+        for seed in range(40):
+            for k, s in ((1, 0.3), (2, 0.1), (3, 0.05), (6, 0.02)):
+                fast, ref = random.Random(seed), random.Random(seed)
+                assert random_block(k, s, fast, k + 1).letters == replayed(k, s, ref)
+                assert fast.getstate() == ref.getstate()
+
 
 class TestRandomBraid:
     def test_deterministic(self):
