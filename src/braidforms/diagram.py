@@ -48,21 +48,16 @@ def render_svg(w: BraidWord, bold: int | None = None) -> str:
                 continue
             paths[s][-1].append((float(_x(p)), float(y1)))
         left, right = arr[i - 1], arr[i]
-        # positive sign: the strand entering from the left passes over
+        # positive sign: the strand entering from the left passes over to
+        # position i+1, and the under strand runs along (-1, 1) to position i
         over, under = (left, right) if t > 0 else (right, left)
-        over_from = i if over == left else i + 1
-        over_to = i + 1 if over == left else i
-        under_from = i if under == left else i + 1
-        under_to = i + 1 if under == left else i
+        over_to, under_to = (i + 1, i) if t > 0 else (i, i + 1)
         paths[over][-1].append((float(_x(over_to)), float(y1)))
-        # break the under strand around the midpoint
-        mx = (_x(under_from) + _x(under_to)) / 2
+        # break the under strand around the midpoint, GAP along its direction
+        mx = (_x(i) + _x(i + 1)) / 2
         my = (y0 + y1) / 2
-        dx = (_x(under_to) - _x(under_from)) / COL_W
-        dy = 1.0
-        norm = (dx * dx + dy * dy) ** 0.5
-        ox = GAP * dx / norm
-        oy = GAP * dy / norm
+        oy = GAP / 2**0.5
+        ox = -oy if t > 0 else oy
         paths[under][-1].append((mx - ox, my - oy))
         paths[under].append([(mx + ox, my + oy), (float(_x(under_to)), float(y1))])
         arr[i - 1], arr[i] = arr[i], arr[i - 1]

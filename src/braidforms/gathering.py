@@ -35,44 +35,29 @@ class NormalForm:
 def pattern_rhs(a: int, b: int, c: int) -> tuple[int, ...]:
     """Replacement for the non-commuting configurations.
 
-    ``a b`` are the last two letters before the gathered letter ``c``;
-    the eight sign/shape configurations are exhaustive for freely reduced
-    words, anything else raises NoRuleMatches.
+    ``a b`` are the last two letters before the gathered letter ``c``, and
+    ``x_p x_q`` with ``|p - q| = 1`` are the generators of ``b`` and ``c``.
+    Each configuration is written once for both ``q = p + 1`` and its mirror
+    image ``q = p - 1``; the four sign/shape configurations are exhaustive for
+    freely reduced words, anything else raises NoRuleMatches.
     """
-    ia, ib, ic = abs(a), abs(b), abs(c)
+    p, q = abs(b), abs(c)
     sa = 1 if a > 0 else -1
     sb = 1 if b > 0 else -1
     sc = 1 if c > 0 else -1
-    i = min(ib, ic)
-    hi = i + 1
-    if (ib, ic) == (i, hi):
-        if ia == hi:
+    if abs(p - q) == 1:
+        if abs(a) == q:
             if sb == sc:
-                # x_{i+1}^d x_i^e x_{i+1}^e -> x_i^e x_{i+1}^e x_i^d
-                return (i * sb, hi * sb, i * sa)
+                # x_q^d x_p^e x_q^e -> x_p^e x_q^e x_p^d
+                return (p * sb, q * sb, p * sa)
             if sa == sb:
-                # x_{i+1}^e x_i^e x_{i+1}^d -> x_i^d x_{i+1}^e x_i^e
-                return (i * sc, hi * sa, i * sa)
-            if sa == sc and sb == -sa:
-                # x_{i+1}^e x_i^-e x_{i+1}^e -> x_i^e x_{i+1}^e x_i^2e x_{i+1}^-2e x_i^-e
-                return (i * sa, hi * sa, i * sa, i * sa, -hi * sa, -hi * sa, -i * sa)
-        elif ia == i and sa == sb:
-            # x_i^e x_i^e x_{i+1}^d -> x_{i+1}^d x_i^d x_{i+1}^2e x_i^-d
-            return (hi * sc, i * sc, hi * sa, hi * sa, -i * sc)
-    elif (ib, ic) == (hi, i):
-        if ia == i:
-            if sb == sc:
-                # x_i^d x_{i+1}^e x_i^e -> x_{i+1}^e x_i^e x_{i+1}^d
-                return (hi * sb, i * sb, hi * sa)
-            if sa == sb:
-                # x_i^e x_{i+1}^e x_i^d -> x_{i+1}^d x_i^e x_{i+1}^e
-                return (hi * sc, i * sa, hi * sa)
-            if sa == sc and sb == -sa:
-                # x_i^e x_{i+1}^-e x_i^e -> x_{i+1}^e x_i^e x_{i+1}^2e x_i^-2e x_{i+1}^-e
-                return (hi * sa, i * sa, hi * sa, hi * sa, -i * sa, -i * sa, -hi * sa)
-        elif ia == hi and sa == sb:
-            # x_{i+1}^e x_{i+1}^e x_i^d -> x_i^d x_{i+1}^d x_i^2e x_{i+1}^-d
-            return (i * sc, hi * sc, i * sa, i * sa, -hi * sc)
+                # x_q^e x_p^e x_q^d -> x_p^d x_q^e x_p^e
+                return (p * sc, q * sa, p * sa)
+            # sa == sc == -sb: x_q^e x_p^-e x_q^e -> x_p^e x_q^e x_p^2e x_q^-2e x_p^-e
+            return (p * sa, q * sa, p * sa, p * sa, -q * sa, -q * sa, -p * sa)
+        if abs(a) == p and sa == sb:
+            # x_p^e x_p^e x_q^d -> x_q^d x_p^d x_q^2e x_p^-d
+            return (q * sc, p * sc, q * sa, q * sa, -p * sc)
     raise NoRuleMatches(f"no configuration matches ({a}, {b}, {c})")
 
 
@@ -82,7 +67,8 @@ def gather_strand(
     """Gather every crossing of strand k at the end of the word.
 
     Returns (prefix, block): the prefix carries only small crossings and the
-    block only big ones.  ``w`` must be freely reduced.
+    block only big ones.  ``w`` must be freely reduced and use only x_1 ..
+    x_{k-1}; a letter x_j with j >= k raises ValueError.
 
     Letters are consumed left to right while the position of strand k and the
     accumulated small prefix / big run are maintained incrementally, so each
@@ -90,11 +76,14 @@ def gather_strand(
     letter that meets the big run is bubbled left through all of it: a
     distant big letter commutes past it, and an adjacent one is rewritten
     with the big letter before it by ``pattern_rhs``, whose first letter is
-    small and bubbles on while the rest wait to be consumed.  Rules are
-    memoized in a dict local to the call.  Each commutation or pattern is one
-    step; with ``max_steps`` = s, a budget trip's ``reached`` is the word
-    after step s.
+    small and bubbles on.  The letters it leaves behind go back on the
+    ``pending`` stack to be consumed in order.  Rules are memoized in a dict
+    local to the call.  Each commutation or pattern is one step; with
+    ``max_steps`` = s, a budget trip's ``reached`` is the word after step s.
     """
+    top = max(map(abs, w.letters), default=0)
+    if top >= k:
+        raise ValueError(f"gathering strand {k} needs letters below x{k}, got x{top}")
     small: list[int] = []
     big: list[int] = []
     pos = k
@@ -113,11 +102,10 @@ def gather_strand(
             # move the popped letter made
             pos = i if pos == i + 1 else i + 1
             continue
-        # t is small; held stacks the letters it leaves behind, as pending does
-        held: list[int] = []
+        # t is small; the letters it leaves behind go back on pending
         while big:
             if steps >= max_steps:
-                reached = tuple(small + big + [t] + held[::-1] + pending[::-1])
+                reached = tuple(small + big + [t] + pending[::-1])
                 raise StepBudgetExceeded(
                     max_steps, f"gathering strand {k}", BraidWord(w.strands, reached)
                 )
@@ -126,10 +114,10 @@ def gather_strand(
             if abs(abs(z2) - i) != 1:
                 # distant generators commute: a small letter never shares a
                 # generator with the big letter before it
-                held.append(z2)
+                pending.append(z2)
                 continue
-            if not big:
-                raise NoRuleMatches(f"single-letter big run before small letter x{i}")
+            # the run starts with x_{k-1}, which no small letter (x_{k-3} or
+            # lower, with strand k at k-1) is adjacent to, so z1 exists
             z1 = big.pop()
             key = (z1, z2, t)
             rule = rules.get(key)
@@ -138,14 +126,13 @@ def gather_strand(
                 rule = rules[key] = (rhs[0], rhs[:0:-1])
             t, tail = rule
             i = abs(t)
-            held.extend(tail)
+            pending.extend(tail)
         # the big run is empty, so strand k is back at position k
         pos = k
         if small and small[-1] == -t:
             small.pop()
         else:
             small.append(t)
-        pending.extend(held)
     return BraidWord(w.strands, tuple(small)), BraidWord(w.strands, tuple(big))
 
 

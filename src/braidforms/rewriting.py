@@ -27,18 +27,10 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, count, islice, permutations
+from itertools import compress, count, islice
 from typing import NamedTuple
 
-from .crossings import (
-    Crossing,
-    CrossingSequence,
-    InvalidCrossing,
-    crossing,
-    crossings_to_word,
-    validate,
-    word_to_crossings,
-)
+from .crossings import Crossing, CrossingSequence, crossing, validate, word_to_crossings
 from .errors import DEFAULT_STEP_BUDGET, NoRuleMatches, StepBudgetExceeded
 from .gathering import pattern_rhs
 from .words import BraidWord
@@ -97,30 +89,27 @@ def _match_pair(u: Crossing, v: Crossing) -> RewriteRule | None:
 def _lift(ru: int, rv: int, su: int, sv: int, sw: int) -> RewriteRule | None:
     """The I-rule at ``(ru,3,su) (rv,3,sv) (1,2,sw)``, read off ``pattern_rhs``.
 
-    The triple is relabelled in the first arrangement where it is valid, and
-    the pattern's replacement traced back.  Only 32 keys can occur.
+    ``order`` lists strands 1-3 by their starting position in an arrangement
+    where the triple is valid; its letters there follow from the key, and the
+    pattern's replacement is traced back through ``order``.  Only 32 keys can
+    occur.
     """
-    u, v, w = Crossing(ru, 3, su), Crossing(rv, 3, sv), Crossing(1, 2, sw)
-    for order in permutations((1, 2, 3)):
-        back = dict(enumerate(order, start=1))
-        at = {s: r for r, s in back.items()}
-        relabelled = [crossing(at[x.low], at[x.high], x.sign) for x in (u, v, w)]
-        try:
-            letters = crossings_to_word(CrossingSequence(3, relabelled)).letters
-            traced = word_to_crossings(BraidWord(3, pattern_rhs(*letters)))
-        except InvalidCrossing:
-            continue
-        except NoRuleMatches:
-            return None
-        rhs = tuple(crossing(back[x.low], back[x.high], x.sign) for x in traced)
-        if u == v:
-            template = "I3"
-        elif v.sign == w.sign:
-            template = "I1"
-        else:
-            template = "I2" if u.sign == v.sign else "I4"
-        return RewriteRule(template, 3, rhs)
-    return None
+    if ru == rv:
+        order, letters = (3 - ru, ru, 3), (2 * su, 2 * sv, sw)
+    else:
+        order, letters = (rv, ru, 3), (2 * su, sv, 2 * sw)
+    try:
+        traced = word_to_crossings(BraidWord(3, pattern_rhs(*letters)))
+    except NoRuleMatches:
+        return None
+    rhs = tuple(crossing(order[x.low - 1], order[x.high - 1], x.sign) for x in traced)
+    if ru == rv and su == sv:
+        template = "I3"
+    elif sv == sw:
+        template = "I1"
+    else:
+        template = "I2" if su == sv else "I4"
+    return RewriteRule(template, 3, rhs)
 
 
 def _match_triple(u: Crossing, v: Crossing, w: Crossing) -> RewriteRule | None:
@@ -215,11 +204,13 @@ def residue(
             pending[tag] = pending.get(tag, 0) + 1
 
     note(applicable_sites(items))
-    # Leftmost reads from ``since`` on and rightmost back from ``until``: a
-    # leftmost pick leaves no eligible site before its window, and a
-    # rightmost pick none after it, until the top strand falls and a lower
-    # strand's reorderings become eligible.
-    since, until = 0, len(items)
+    # Leftmost scans rightward and rightmost leftward, each from ``cursor``:
+    # a leftmost pick leaves no eligible site before its window, and a
+    # rightmost pick none after it, so the next scan starts at the window's
+    # near end, until the top strand falls and a lower strand's reorderings
+    # become eligible.
+    stride = -1 if strategy.kind == "rightmost" else 1
+    cursor = 0 if stride > 0 else len(items) - 1
     steps = top = 0
     while pending:
         if steps >= max_steps:
@@ -227,16 +218,12 @@ def residue(
             raise StepBudgetExceeded(max_steps, "computing residue", reached)
         last, top = top, max(pending)
         if top < last:
-            since, until = 0, len(items)
+            cursor = 0 if stride > 0 else len(items) - 1
         wanted = {_D, top}
-        if strategy.kind == "leftmost":
-            p = since
+        if rng is None:
+            p = cursor
             while tags[p] not in wanted:
-                p += 1
-        elif strategy.kind == "rightmost":
-            p = until - 1
-            while tags[p] not in wanted:
-                p -= 1
+                p += stride
         else:
             total = pending.get(_D, 0) + (pending[top] if top != _D else 0)
             eligible = compress(count(), map(wanted.__contains__, tags))
@@ -253,10 +240,7 @@ def residue(
         rules[lo:end] = [None] * fresh
         tags[lo:end] = [_NO_SITE] * fresh
         note(applicable_sites(items, lo, lo + fresh))
-        if strategy.kind == "leftmost":
-            since = lo
-        elif strategy.kind == "rightmost":
-            until = lo + fresh
+        cursor = lo if stride > 0 else lo + fresh - 1
         steps += 1
     return CrossingSequence(c.strands, tuple(items))
 

@@ -1,5 +1,6 @@
 """The gathering process: normal forms, per-step audits, block structure."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from braidforms import (
     BraidWord,
     NormalForm,
+    NoRuleMatches,
     StepBudgetExceeded,
     aij,
     check_b3_parity,
@@ -96,7 +98,7 @@ class TestGatherStrand:
             return abs(t) if p == abs(t) + 1 else abs(t) + 1
 
         gens = [i * s for i in range(1, 9) for s in (1, -1)]
-        cases = 0
+        stuck = []
         for p in range(1, 10):
             for z1 in (z for z in gens if is_big(p, z)):
                 q = move(p, z1)
@@ -105,15 +107,32 @@ class TestGatherStrand:
                     for t in gens:
                         if is_big(r, t) or abs(abs(z2) - abs(t)) != 1:
                             continue
-                        cases += 1
+                        stuck.append((z1, z2, t))
                         rhs = gathering.pattern_rhs(z1, z2, t)
+                        assert check_rule_instance(word(9, (z1, z2, t)), word(9, rhs))
                         assert not is_big(p, rhs[0])
                         s = p
                         for x in rhs[1:]:
                             assert is_big(s, x)
                             s = move(s, x)
                         assert s == r
-        assert cases == 168
+        assert len(stuck) == 168
+        # and pattern_rhs fires on those triples only, of all 4,096
+        fires = set()
+        for triple in itertools.product(gens, repeat=3):
+            try:
+                gathering.pattern_rhs(*triple)
+            except NoRuleMatches:
+                continue
+            fires.add(triple)
+        assert fires == set(stuck)
+
+    def test_letter_of_the_gathered_strand_rejected(self):
+        # x3 would move strand 3 to position 4, past the block being gathered
+        with pytest.raises(ValueError, match="strand 3 needs letters below x3, got x3"):
+            gather_strand(word(4, [3, 2]), 3)
+        with pytest.raises(ValueError, match="strand 4 needs letters below x4, got x5"):
+            gather_strand(word(6, [1, -5, 2]), 4)
 
     def test_rules_memoized_and_steps_pinned(self, monkeypatch):
         w = free_reduce(word(4, (3, 3, 2, 2, 1, 1, 2, 2) * 4))
