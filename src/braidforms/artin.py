@@ -11,13 +11,24 @@ precede it, and a b-letter never is.  Proof: with P the prefix image,
 P A_BAR P^-1 swaps P(1) and P(3), so it is A_BAR iff P keeps the diagonal
 {1, 3}; A_BAR keeps both diagonals and B_BAR swaps them.  P B_BAR P^-1 moves
 all four vertices.  So the gathered prefix is the leading run of a-letters.
+
+Twelve configurations: ``gather_steps_a`` keeps its residual stack ``big``
+freely reduced and pushes an a-letter onto it only while ``big`` holds an odd
+number of b-letters, so every a-letter in ``big`` has an odd number of
+b-letters below it.  A gatherable letter y meets ``big`` only while ``big``
+holds an even number of b-letters, so its top z2 is a b-letter, it holds at
+least two b-letters, and the letter z1 below z2 is an a-letter or z2 itself.
+These 2 * 2 * 3 configurations are tabled at import in ``_RULES``.  The
+replacement for z1 z2 y leads with one b-letter when z1 is an a-letter and
+with none when z1 = z2, so ``big`` holds an even number of b-letters again
+and the a-letter that follows is gatherable and bubbles on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_STEP_BUDGET, NoRuleMatches, StepBudgetExceeded
+from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 from .words import BraidWord, reduce_letters
 
 # letters: +1 = a, -1 = a^-1, +2 = b, -2 = b^-1
@@ -98,15 +109,12 @@ def reflection_sequence(w: ArtinWord) -> tuple[SquareReflection, ...]:
 def _artin_rhs(z1: int, z2: int, y: int) -> tuple[int, ...]:
     """Replacement for a gatherable letter y preceded by z1 z2.
 
-    z2 is always a b-letter; the five configurations below are exhaustive
-    for freely reduced words.
+    Defined on the twelve configurations ``gather_steps_a`` meets (see the
+    module docstring): z2 a b-letter, y an a-letter, and z1 an a-letter or z2
+    itself.
     """
-    if abs(z2) != 2 or abs(y) != 1:
-        raise NoRuleMatches(f"unexpected configuration ({z1}, {z2}, {y})")
     sy = 1 if y > 0 else -1
     if abs(z1) == 2:
-        if (z1 > 0) != (z2 > 0):
-            raise NoRuleMatches(f"unreduced b-run in ({z1}, {z2}, {y})")
         e = 1 if z2 > 0 else -1
         d = sy
         # b^e b^e a^d -> a^d b^d a^d b^e b^e a^-d b^-d
@@ -132,18 +140,38 @@ def _artin_rhs(z1: int, z2: int, y: int) -> tuple[int, ...]:
     return (2 * e, e, -2 * e, -e, -2 * e)
 
 
+def _rule(z1: int, z2: int, y: int) -> tuple[int, int, tuple[int, ...]]:
+    """``_artin_rhs`` split for bubbling: the b-letter it leads with (0 if
+    none), the gatherable letter after it, and the rest reversed."""
+    rhs = _artin_rhs(z1, z2, y)
+    if abs(rhs[0]) == 2:
+        return rhs[0], rhs[1], rhs[:1:-1]
+    return 0, rhs[0], rhs[:0:-1]
+
+
+_RULES = {
+    (z1, z2, y): _rule(z1, z2, y)
+    for z2 in (2, -2)
+    for y in (1, -1)
+    for z1 in (1, -1, z2)
+}
+
+
 def gather_steps_a(w: ArtinWord):
     """Gather the gatherable letters of ``w`` to the front in one pass.
 
     Letters move from ``pending`` onto ``small`` (gathered) or ``big``
     (residual), cancelling against the top of the stack, as in
-    ``gathering.gather_strand``; a gatherable letter stuck behind ``big`` is
-    replaced, with ``big``'s last two letters, by ``_artin_rhs``.  Yields the
-    live stacks ``(small, big, pending)`` after each such transformation: the
-    word is then ``small + big + reversed(pending)``, and once the generator is
-    spent ``small + big`` is the gathered word.  Letters cancel as they are
-    pushed, not over the whole word after each step, so the step count can
-    differ from that of a globally reducing loop; the result cannot.
+    ``gathering.gather_strand``.  A gatherable letter ``t`` that meets ``big``
+    is bubbled left through all of it: each step replaces ``t`` and ``big``'s
+    last two letters by their ``_RULES`` entry, pushes the entry's b-letter
+    onto ``big``, carries on with its gatherable letter and leaves the tail on
+    ``pending``.  Yields ``(small, big, t, pending)`` before each step, one
+    yield per step; the word is then ``small + big + [t] + reversed(pending)``,
+    and once the generator is spent ``small + big`` is the gathered word.
+    The stacks are live: read them before resuming.  Letters cancel as they
+    are pushed, not over the whole word after each step, so the step count
+    can differ from that of a globally reducing loop; the result cannot.
     """
     small: list[int] = []
     big: list[int] = []
@@ -158,30 +186,36 @@ def gather_steps_a(w: ArtinWord):
                 big.append(t)
             # a b-letter flips the parity whether it is pushed or cancelled
             odd ^= abs(t) == 2
-        elif not big:
-            if small and small[-1] == -t:
-                small.pop()
-            else:
-                small.append(t)
-        else:
+            continue
+        # big's b-count stays even through every step, so odd stays False
+        while big:
+            yield small, big, t, pending
             z2 = big.pop()
-            if not big:
-                raise NoRuleMatches(f"single-letter big run before gatherable letter {t}")
             z1 = big.pop()
-            # big had an even count and lost z2, a b-letter, and z1
-            odd = abs(z1) != 2
-            pending.extend(reversed(_artin_rhs(z1, z2, t)))
-            yield small, big, pending
+            b, t, tail = _RULES[z1, z2, t]
+            if b:
+                if big and big[-1] == -b:
+                    big.pop()
+                else:
+                    big.append(b)
+            pending.extend(tail)
+        if small and small[-1] == -t:
+            small.pop()
+        else:
+            small.append(t)
 
 
 def normalize_a(w: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> ArtinNormalForm:
     """Gather the 1-3 reflection letters to the front as a power of a, in at
-    most ``max_steps`` gathering transformations."""
+    most ``max_steps`` gathering transformations.
+
+    A budget trip's ``reached`` is the word after step ``max_steps``.
+    """
     stacks = ((), reduce_letters(w.letters))  # the result if no step is needed
     for steps, stacks in enumerate(gather_steps_a(w)):
         if steps >= max_steps:
-            small, big, pending = stacks
-            reached = ArtinWord(tuple(small + big + pending[::-1]))
+            small, big, t, pending = stacks
+            reached = ArtinWord(tuple(small + big + [t] + pending[::-1]))
             raise StepBudgetExceeded(max_steps, "normalizing Artin word", reached)
     letters = tuple(stacks[0]) + tuple(stacks[1])
     cut = next((i for i, t in enumerate(letters) if abs(t) == 2), len(letters))

@@ -1,5 +1,6 @@
 """Normal forms in the Artin group <a, b | abab = baba>."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -71,9 +72,19 @@ def as_word(nf: ArtinNormalForm) -> ArtinWord:
 
 
 def step_words(w):
-    """The word after each gathering step, built from the yielded stacks."""
-    for small, big, pending in gather_steps_a(w):
-        yield ArtinWord(tuple(small + big + pending[::-1]))
+    """The word before each gathering step, built from the yielded stacks."""
+    for small, big, t, pending in gather_steps_a(w):
+        yield ArtinWord(tuple(small + big + [t] + pending[::-1]))
+
+
+def reduced_words(max_len):
+    """Every freely reduced word of at most ``max_len`` letters."""
+    return [
+        ArtinWord(letters)
+        for n in range(max_len + 1)
+        for letters in product((1, -1, 2, -2), repeat=n)
+        if reduce_letters(letters) == letters
+    ]
 
 
 def long_words(seed, count=5):
@@ -252,6 +263,62 @@ class TestNormalizeA:
                 normalize_a(w, max_steps=steps - 1)
             assert normalize_a(w, max_steps=steps) == normalize_a(w)
 
+    def test_budget_trip_reaches_the_word_after_max_steps_steps(self):
+        """With ``max_steps`` = s, a trip stops before step s + 1: ``reached``
+        is the reduced input at s = 0, and otherwise the word after step s."""
+        with pytest.raises(StepBudgetExceeded) as exc:
+            normalize_a(parse_artin("bbaAabba"), max_steps=0)
+        assert exc.value.reached == parse_artin("bbabba")
+        for w in (parse_artin("bbabba"), *long_words(26, count=2)):
+            words = list(step_words(w))
+            for s in (*range(min(len(words), 25)), len(words) - 1):
+                with pytest.raises(StepBudgetExceeded) as exc:
+                    normalize_a(w, max_steps=s)
+                assert exc.value.reached == words[s]
+                assert str(exc.value) == (
+                    f"step budget of {s} exceeded while normalizing Artin word"
+                )
+
+    def test_short_words_meet_the_twelve_tabled_configurations(self):
+        """On every reduced word of at most 8 letters, the steps meet exactly
+        the twelve configurations z1 z2 y of the module docstring: z2 = b^+-1,
+        y = a^+-1 and z1 in {a, A, z2}.  The forms and step counts are pinned
+        by the sha256 of one line per word."""
+        tabled = {(z1, z2, y) for z2 in (2, -2) for y in (1, -1) for z1 in (1, -1, z2)}
+        met = set()
+        lines = []
+        for w in reduced_words(8):
+            steps = 0
+            for small, big, t, pending in gather_steps_a(w):
+                met.add((big[-2], big[-1], t))
+                steps += 1
+            nf = normalize_a(w)
+            lines.append(f"{w} {nf.m} {nf.w1} {steps}")
+        assert met == tabled
+        assert len(lines) == 13121
+        assert sum(int(line.rsplit(" ", 1)[1]) for line in lines) == 46282
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "e0fe5c10d4a91ed88f26febd11b195b487726301fc07e22211c7300cd723e4b1"
+
+    @pytest.mark.parametrize(
+        "seed, steps, digest",
+        [
+            (25, [3523, 5089, 5241, 4589, 4292],
+             "ea24f3337ac723b976bf41d74f33aa8a997a7e33132bf59678598a8eeba09987"),
+            (26, [8427, 934, 1379, 4111, 4267],
+             "da44befb6e16e30164125d2f609e444f076fc42aaa98a261e329147c26345b3a"),
+        ],
+        ids=["seed25", "seed26"],
+    )
+    def test_counted_work_is_pinned(self, seed, steps, digest):
+        """``max_steps`` counts gathering transformations, so a kernel that
+        changes what one step is must fail here: the step count of each long
+        word, and the sha256 of the lines "m w1" of their normal forms."""
+        words = long_words(seed)
+        assert [sum(1 for _ in gather_steps_a(w)) for w in words] == steps
+        forms = "\n".join(f"{nf.m} {nf.w1}" for nf in map(normalize_a, words))
+        assert hashlib.sha256(forms.encode()).hexdigest() == digest
+
     def test_budget_trip_reaches_an_equal_word(self):
         for w in long_words(26, count=2):
             for budget in (0, 3, 17):
@@ -298,12 +365,7 @@ class TestEqualA:
         words into the classes that Burau of the B3 embedding does.  Burau is
         faithful on B3 and the embedding is injective, so this is a complete
         check that shares no code with normalize_a."""
-        words = [
-            ArtinWord(letters)
-            for n in range(7)
-            for letters in product((1, -1, 2, -2), repeat=n)
-            if reduce_letters(letters) == letters
-        ]
+        words = reduced_words(6)
         classes: dict = {}
         for w in words:
             classes.setdefault(burau(embed_b3(w)), []).append(w)

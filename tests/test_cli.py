@@ -149,8 +149,13 @@ class TestResidue:
         assert res.output.strip() == "1,2 3,4 1,4 -2,4 -2,4 -1,4"
 
     def test_bad_strategy(self, runner):
-        res = run(runner, "residue", "--strands", "3", "--strategy", "magic", "1,2")
-        assert res.exit_code == 1
+        for strategy in ("bogus", "random:x"):
+            res = run(runner, "residue", "--strands", "3", "--strategy", strategy, "1,2")
+            assert res.exit_code == 1
+            assert res.stdout == ""
+            assert res.stderr == (
+                f"bad strategy {strategy!r}: expected leftmost, rightmost or random:SEED\n"
+            )
 
     def test_invalid_sequence(self, runner):
         res = run(runner, "residue", "--strands", "3", "-1,3")
