@@ -27,7 +27,7 @@ from .crossings import (
     validate,
     word_to_crossings,
 )
-from .errors import NoRuleMatches, StepBudgetExceeded
+from .errors import StepBudgetExceeded
 from .gathering import (
     NormalForm,
     check_b3_parity,
@@ -72,7 +72,6 @@ __all__ = [
     "CrossingSequence",
     "InvalidCrossing",
     "LEFTMOST",
-    "NoRuleMatches",
     "NormalForm",
     "RIGHTMOST",
     "RandomParams",

@@ -1,4 +1,4 @@
-"""Shared exception types and the default step budget."""
+"""The step-budget exception and the default step budget."""
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -19,7 +19,3 @@ class StepBudgetExceeded(RuntimeError):
         if context:
             msg += f" while {context}"
         super().__init__(msg)
-
-
-class NoRuleMatches(RuntimeError):
-    """No transformation pattern matched where one must; internal invariant broken."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crossings import word_to_crossings
-from .errors import DEFAULT_STEP_BUDGET, NoRuleMatches, StepBudgetExceeded
+from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 from .words import BraidWord, free_reduce
 
 
@@ -29,17 +29,19 @@ class NormalForm:
 
     def block(self, k: int) -> BraidWord:
         """Block w_k for 3 <= k <= strands."""
+        if not 3 <= k <= self.strands:
+            raise ValueError(f"block index {k} not in 3..{self.strands}")
         return self.blocks[k - 3]
 
 
-def pattern_rhs(a: int, b: int, c: int) -> tuple[int, ...]:
-    """Replacement for the non-commuting configurations.
+def pattern_rhs(a: int, b: int, c: int) -> tuple[str, tuple[int, ...]] | None:
+    """(rule name, replacement) for the non-commuting configurations.
 
     ``a b`` are the last two letters before the gathered letter ``c``, and
     ``x_p x_q`` with ``|p - q| = 1`` are the generators of ``b`` and ``c``.
     Each configuration is written once for both ``q = p + 1`` and its mirror
-    image ``q = p - 1``; the four sign/shape configurations are exhaustive for
-    freely reduced words, anything else raises NoRuleMatches.
+    image ``q = p - 1``, and named by the crossing rule I1-I4 it is; the four
+    are exhaustive for freely reduced words, anything else returns None.
     """
     p, q = abs(b), abs(c)
     sa = 1 if a > 0 else -1
@@ -49,16 +51,16 @@ def pattern_rhs(a: int, b: int, c: int) -> tuple[int, ...]:
         if abs(a) == q:
             if sb == sc:
                 # x_q^d x_p^e x_q^e -> x_p^e x_q^e x_p^d
-                return (p * sb, q * sb, p * sa)
+                return "I1", (p * sb, q * sb, p * sa)
             if sa == sb:
                 # x_q^e x_p^e x_q^d -> x_p^d x_q^e x_p^e
-                return (p * sc, q * sa, p * sa)
+                return "I2", (p * sc, q * sa, p * sa)
             # sa == sc == -sb: x_q^e x_p^-e x_q^e -> x_p^e x_q^e x_p^2e x_q^-2e x_p^-e
-            return (p * sa, q * sa, p * sa, p * sa, -q * sa, -q * sa, -p * sa)
+            return "I4", (p * sa, q * sa, p * sa, p * sa, -q * sa, -q * sa, -p * sa)
         if abs(a) == p and sa == sb:
             # x_p^e x_p^e x_q^d -> x_q^d x_p^d x_q^2e x_p^-d
-            return (q * sc, p * sc, q * sa, q * sa, -p * sc)
-    raise NoRuleMatches(f"no configuration matches ({a}, {b}, {c})")
+            return "I3", (q * sc, p * sc, q * sa, q * sa, -p * sc)
+    return None
 
 
 def gather_strand(
@@ -122,7 +124,7 @@ def gather_strand(
             key = (z1, z2, t)
             rule = rules.get(key)
             if rule is None:
-                rhs = pattern_rhs(z1, z2, t)
+                _, rhs = pattern_rhs(z1, z2, t)
                 rule = rules[key] = (rhs[0], rhs[:0:-1])
             t, tail = rule
             i = abs(t)

@@ -2,10 +2,12 @@
 
 The rules act directly on sequences of crossings: three-crossing
 reorderings (I1-I4, the gathering process's ``pattern_rhs`` read on
-crossings), the swap of commuting crossings (COM) and cancellation of adjacent
-inverse crossings (D).  Every maximal chain of rewrites from a valid sequence
-terminates in the same residue, which is the block-ordered normal form of the
-underlying braid.
+crossings and named by it), the swap of commuting crossings (COM) and
+cancellation of adjacent inverse crossings (D).  Every maximal chain of
+rewrites from a valid sequence terminates in the same residue, which is the
+block-ordered normal form of the underlying braid.  Each gathering step is
+one COM or I-rule of the strand being gathered, so ``normal_form`` follows
+one such chain.
 
 ``residue`` rewrites in the strand order that ``normal_form`` gathers: at
 each step its strategy picks among the D sites, which are always eligible,
@@ -31,7 +33,7 @@ from itertools import compress, count, islice
 from typing import NamedTuple
 
 from .crossings import Crossing, CrossingSequence, crossing, validate, word_to_crossings
-from .errors import DEFAULT_STEP_BUDGET, NoRuleMatches, StepBudgetExceeded
+from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 from .gathering import pattern_rhs
 from .words import BraidWord
 
@@ -91,25 +93,19 @@ def _lift(ru: int, rv: int, su: int, sv: int, sw: int) -> RewriteRule | None:
 
     ``order`` lists strands 1-3 by their starting position in an arrangement
     where the triple is valid; its letters there follow from the key, and the
-    pattern's replacement is traced back through ``order``.  Only 32 keys can
-    occur.
+    pattern's replacement is traced back through ``order``; the pattern names
+    the rule.  Only 32 keys can occur.
     """
     if ru == rv:
         order, letters = (3 - ru, ru, 3), (2 * su, 2 * sv, sw)
     else:
         order, letters = (rv, ru, 3), (2 * su, sv, 2 * sw)
-    try:
-        traced = word_to_crossings(BraidWord(3, pattern_rhs(*letters)))
-    except NoRuleMatches:
+    pattern = pattern_rhs(*letters)
+    if pattern is None:
         return None
+    traced = word_to_crossings(BraidWord(3, pattern[1]))
     rhs = tuple(crossing(order[x.low - 1], order[x.high - 1], x.sign) for x in traced)
-    if ru == rv and su == sv:
-        template = "I3"
-    elif sv == sw:
-        template = "I1"
-    else:
-        template = "I2" if su == sv else "I4"
-    return RewriteRule(template, 3, rhs)
+    return RewriteRule(pattern[0], 3, rhs)
 
 
 def _match_triple(u: Crossing, v: Crossing, w: Crossing) -> RewriteRule | None:

@@ -59,6 +59,12 @@ class TestCrossingValue:
         with pytest.raises(ValueError):
             CrossingSequence(3, (crossing(1, 4),))
 
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sequence_sign_checked(self, sign):
+        # Crossing itself does not check, unlike crossing()
+        with pytest.raises(ValueError, match="bad sign in crossing"):
+            CrossingSequence(3, (Crossing(1, 2, sign),))
+
 
 class TestWordExample:
     """The worked example: x3 x2^-2 x1 in B4."""

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from braidforms import (
     BraidWord,
     NormalForm,
-    NoRuleMatches,
     StepBudgetExceeded,
     aij,
+    applicable_sites,
     check_b3_parity,
     classify,
+    crossings_to_word,
     free_reduce,
     gather_strand,
     is_normal_form,
@@ -26,6 +28,7 @@ from braidforms import (
     word_to_crossings,
 )
 from braidforms import gathering
+from braidforms.crossings import CrossingSequence
 from braidforms.oracle import burau, check_rule_instance, mutate, random_word
 
 
@@ -44,6 +47,37 @@ def step_words(w, k, limit=300):
             yield BraidWord(w.strands, prefix.letters + block.letters)
             return
     pytest.fail(f"gathering did not finish in {limit} steps")
+
+
+def step_rules(w):
+    """The crossing rule of each gathering step of ``w``, strand by strand.
+
+    Word s is unreduced: reducing it first can cancel across the site.  Step
+    s + 1 must be exactly one COM or I1-I4 site of the gathered strand k,
+    up to free cancellation (D), and an I-rule must be the one that
+    ``pattern_rhs`` names at the site's letters.
+    """
+    cur = free_reduce(w)
+    for k in range(w.strands, 2, -1):
+        words = list(step_words(cur, k))
+        for before, after in zip(words, words[1:]):
+            items = word_to_crossings(before).items
+            target = free_reduce(after)
+            found = set()
+            for p, rule in applicable_sites(items):
+                if rule.template == "D" or items[p].high != k:
+                    continue
+                moved = items[:p] + rule.replacement + items[p + rule.length :]
+                seq = CrossingSequence(w.strands, moved)
+                if free_reduce(crossings_to_word(seq)) != target:
+                    continue
+                found.add(rule.template)
+                if rule.template != "COM":
+                    name = gathering.pattern_rhs(*before.letters[p : p + 3])[0]
+                    assert name == rule.template, (before, p)
+            assert len(found) == 1, (before, after, k, found)
+            yield found.pop()
+        cur = gather_strand(cur, k)[0]
 
 
 class TestWorkedExample:
@@ -71,6 +105,24 @@ class TestGatherStep:
         for nxt in step_words(w, 4):
             assert check_rule_instance(w, nxt)
             w = nxt
+
+    def test_each_step_is_one_crossing_rule_on_short_b4_words(self):
+        gens = [g * s for g in range(1, 4) for s in (1, -1)]
+        counts = Counter()
+        for n in range(6):
+            for letters in itertools.product(gens, repeat=n):
+                w = word(4, letters)
+                if w.is_reduced():
+                    counts.update(step_rules(w))
+        assert counts == {"COM": 4036, "I1": 1128, "I2": 660, "I3": 1072, "I4": 700}
+
+    def test_each_step_is_one_crossing_rule_on_b5_b6_words(self):
+        rng = random.Random(12)
+        counts = Counter()
+        for _ in range(300):
+            w = random_word(rng.choice((5, 6)), rng.randrange(2, 16), rng)
+            counts.update(step_rules(w))
+        assert counts == {"COM": 2384, "I1": 335, "I2": 210, "I3": 270, "I4": 177}
 
 
 class TestGatherStrand:
@@ -108,7 +160,7 @@ class TestGatherStrand:
                         if is_big(r, t) or abs(abs(z2) - abs(t)) != 1:
                             continue
                         stuck.append((z1, z2, t))
-                        rhs = gathering.pattern_rhs(z1, z2, t)
+                        _, rhs = gathering.pattern_rhs(z1, z2, t)
                         assert check_rule_instance(word(9, (z1, z2, t)), word(9, rhs))
                         assert not is_big(p, rhs[0])
                         s = p
@@ -118,13 +170,11 @@ class TestGatherStrand:
                         assert s == r
         assert len(stuck) == 168
         # and pattern_rhs fires on those triples only, of all 4,096
-        fires = set()
-        for triple in itertools.product(gens, repeat=3):
-            try:
-                gathering.pattern_rhs(*triple)
-            except NoRuleMatches:
-                continue
-            fires.add(triple)
+        fires = {
+            triple
+            for triple in itertools.product(gens, repeat=3)
+            if gathering.pattern_rhs(*triple) is not None
+        }
         assert fires == set(stuck)
 
     def test_letter_of_the_gathered_strand_rejected(self):
@@ -187,6 +237,13 @@ class TestNormalForm:
                 assert is_pure(block)
                 assert set(classify(word_to_crossings(block), k)) <= {"big"}
             assert nf.m % 2 == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_block_index_checked(self, k):
+        nf = normal_form(word(5, [4, 3, 2, 1]))
+        assert nf.block(5) == nf.blocks[-1] == word(5, [4, 3, 2, 1])
+        with pytest.raises(ValueError, match=f"block index {k} not in 3..5"):
+            nf.block(k)
 
     def test_degenerate_strand_counts(self):
         assert normal_form(word(2, [1, 1, -1])) == NormalForm(2, 1)

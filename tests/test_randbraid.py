@@ -99,6 +99,18 @@ class TestCaseLists:
 
 
 class TestRandomBlock:
+    @pytest.mark.parametrize(
+        "k,s,message",
+        [
+            (0, 0.5, "block index must be >= 1, got 0"),
+            (2, 0.0, r"stopping probability 0.0 not in \(0, 1\]"),
+            (2, 1.5, r"stopping probability 1.5 not in \(0, 1\]"),
+        ],
+    )
+    def test_arguments_validated(self, k, s, message):
+        with pytest.raises(ValueError, match=message):
+            random_block(k, s, random.Random(1), 3)
+
     def test_every_letter_involves_distinguished_strand(self):
         rng = random.Random(7)
         for k in (2, 3, 4):
