@@ -13,15 +13,18 @@ P A_BAR P^-1 swaps P(1) and P(3), so it is A_BAR iff P keeps the diagonal
 all four vertices.  So the gathered prefix is the leading run of a-letters.
 
 Twelve configurations: ``gather_steps_a`` keeps its residual stack ``big``
-freely reduced and pushes an a-letter onto it only while ``big`` holds an odd
-number of b-letters, so every a-letter in ``big`` has an odd number of
-b-letters below it.  A gatherable letter y meets ``big`` only while ``big``
-holds an even number of b-letters, so its top z2 is a b-letter, it holds at
-least two b-letters, and the letter z1 below z2 is an a-letter or z2 itself.
-These 2 * 2 * 3 configurations are tabled at import in ``_RULES``.  The
-replacement for z1 z2 y leads with one b-letter when z1 is an a-letter and
-with none when z1 = z2, so ``big`` holds an even number of b-letters again
-and the a-letter that follows is gatherable and bubbles on.
+freely reduced and pushes an a-letter onto it only at an odd b-count, so
+every a-letter in ``big`` has an odd number of b-letters below it.  A
+gatherable letter y meets ``big`` only at an even b-count, so its top z2 is
+a b-letter, it holds at least two b-letters, and the letter z1 below z2 is
+an a-letter or z2 itself.  These 2 * 2 * 3 configurations are tabled at
+import in ``_RULES``.  Below z1 z2 the b-count is odd when z1 is an a-letter
+and even when z1 = z2, and the replacement leads with one b-letter in the
+first case and none in the second.  So the a-letter that follows is
+gatherable and bubbles on, and every a-letter of the tail after it has an
+odd b-count before it (a test checks all twelve).  Later steps keep the
+b-parity of the letters before a tail, so the tails are still residual when
+the bubble ends and go back onto ``big`` untested.
 """
 
 from __future__ import annotations
@@ -163,15 +166,17 @@ def gather_steps_a(w: ArtinWord):
     Letters move from ``pending`` onto ``small`` (gathered) or ``big``
     (residual), cancelling against the top of the stack, as in
     ``gathering.gather_strand``.  A gatherable letter ``t`` that meets ``big``
-    is bubbled left through all of it: each step replaces ``t`` and ``big``'s
+    bubbles left through all of it: each step replaces ``t`` and ``big``'s
     last two letters by their ``_RULES`` entry, pushes the entry's b-letter
-    onto ``big``, carries on with its gatherable letter and leaves the tail on
-    ``pending``.  Yields ``(small, big, t, pending)`` before each step, one
-    yield per step; the word is then ``small + big + [t] + reversed(pending)``,
-    and once the generator is spent ``small + big`` is the gathered word.
-    The stacks are live: read them before resuming.  Letters cancel as they
-    are pushed, not over the whole word after each step, so the step count
-    can differ from that of a globally reducing loop; the result cannot.
+    onto ``big``, carries on with its gatherable letter and leaves the tail
+    on ``pending``; the tails are residual, so when the bubble ends they go
+    straight back onto the emptied ``big``, cancelling only.
+    Yields ``(small, big, t, pending)`` before each step, one yield per step;
+    the word is then ``small + big + [t] + reversed(pending)``, and once the
+    generator is spent ``small + big`` is the gathered word.  The stacks are
+    live: read them before resuming.  Letters cancel as they are pushed, not
+    over the whole word after each step, so the step count can differ from
+    that of a globally reducing loop; the result cannot.
     """
     small: list[int] = []
     big: list[int] = []
@@ -187,7 +192,8 @@ def gather_steps_a(w: ArtinWord):
             # a b-letter flips the parity whether it is pushed or cancelled
             odd ^= abs(t) == 2
             continue
-        # big's b-count stays even through every step, so odd stays False
+        # big's b-count stays even through the bubble, so odd stays False
+        mark = len(pending)
         while big:
             yield small, big, t, pending
             z2 = big.pop()
@@ -203,6 +209,8 @@ def gather_steps_a(w: ArtinWord):
             small.pop()
         else:
             small.append(t)
+        big.extend(reduce_letters(reversed(pending[mark:])))
+        del pending[mark:]
 
 
 def normalize_a(w: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> ArtinNormalForm:
@@ -226,10 +234,8 @@ def embed_b3(w: ArtinWord) -> BraidWord:
     """Letterwise embedding into the 3-strand braid group: a -> x1, b -> x2^2."""
     letters: list[int] = []
     for t in w.letters:
-        if abs(t) == 1:
-            letters.append(1 if t > 0 else -1)
-        else:
-            letters.extend((2, 2) if t > 0 else (-2, -2))
+        # the letter codes are the generators' indices: a is x1, b is x2
+        letters.extend((t,) if abs(t) == 1 else (t, t))
     return BraidWord(3, tuple(letters))
 
 

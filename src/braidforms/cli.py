@@ -77,10 +77,8 @@ def _fail(message: str, code: int) -> None:
 
 
 def _parse_strategy(text: str) -> Strategy:
-    if text == "leftmost":
-        return Strategy("leftmost")
-    if text == "rightmost":
-        return Strategy("rightmost")
+    if text in ("leftmost", "rightmost"):
+        return Strategy(text)
     if text.startswith("random:"):
         try:
             return Strategy("random", int(text.split(":", 1)[1]))

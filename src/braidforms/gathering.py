@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .crossings import word_to_crossings
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
-from .words import BraidWord, free_reduce
+from .words import BraidWord, free_reduce, reduce_letters
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,16 @@ def gather_strand(
     block only big ones.  ``w`` must be freely reduced and use only x_1 ..
     x_{k-1}; a letter x_j with j >= k raises ValueError.
 
-    Letters are consumed left to right while the position of strand k and the
-    accumulated small prefix / big run are maintained incrementally, so each
-    elementary transformation costs O(1) instead of a full re-trace.  A small
-    letter that meets the big run is bubbled left through all of it: a
-    distant big letter commutes past it, and an adjacent one is rewritten
-    with the big letter before it by ``pattern_rhs``, whose first letter is
-    small and bubbles on.  The letters it leaves behind go back on the
-    ``pending`` stack to be consumed in order.  Rules are memoized in a dict
-    local to the call.  Each commutation or pattern is one step; with
-    ``max_steps`` = s, a budget trip's ``reached`` is the word after step s.
+    Each letter is read once, left to right, while strand k's position, the
+    small prefix and the big run are kept incrementally.  A small letter
+    that meets the big run bubbles left through all of it: a distant big
+    letter commutes past it, and an adjacent one is rewritten with the big
+    letter before it by ``pattern_rhs`` (memoized per call), whose first
+    letter is small and bubbles on while the rest is big.  Later steps keep
+    the permutation before them, so what a bubble leaves behind is still big
+    and goes straight onto the emptied run, with free cancellation only.
+    Each commutation or pattern is one step; with ``max_steps`` = s, a
+    budget trip's ``reached`` is the word after step s.
     """
     top = max(map(abs, w.letters), default=0)
     if top >= k:
@@ -89,11 +89,9 @@ def gather_strand(
     small: list[int] = []
     big: list[int] = []
     pos = k
-    pending = list(reversed(w.letters))
     rules: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
     steps = 0
-    while pending:
-        t = pending.pop()
+    for j, t in enumerate(w.letters):
         i = abs(t)
         if pos == i or pos == i + 1:
             if big and big[-1] == -t:
@@ -104,10 +102,11 @@ def gather_strand(
             # move the popped letter made
             pos = i if pos == i + 1 else i + 1
             continue
-        # t is small; the letters it leaves behind go back on pending
+        # t is small, so strand k stays put; what t leaves behind collects on left
+        left: list[int] = []
         while big:
             if steps >= max_steps:
-                reached = tuple(small + big + [t] + pending[::-1])
+                reached = (*small, *big, t, *left[::-1], *w.letters[j + 1 :])
                 raise StepBudgetExceeded(
                     max_steps, f"gathering strand {k}", BraidWord(w.strands, reached)
                 )
@@ -116,7 +115,7 @@ def gather_strand(
             if abs(abs(z2) - i) != 1:
                 # distant generators commute: a small letter never shares a
                 # generator with the big letter before it
-                pending.append(z2)
+                left.append(z2)
                 continue
             # the run starts with x_{k-1}, which no small letter (x_{k-3} or
             # lower, with strand k at k-1) is adjacent to, so z1 exists
@@ -128,13 +127,12 @@ def gather_strand(
                 rule = rules[key] = (rhs[0], rhs[:0:-1])
             t, tail = rule
             i = abs(t)
-            pending.extend(tail)
-        # the big run is empty, so strand k is back at position k
-        pos = k
+            left.extend(tail)
         if small and small[-1] == -t:
             small.pop()
         else:
             small.append(t)
+        big.extend(reduce_letters(reversed(left)))
     return BraidWord(w.strands, tuple(small)), BraidWord(w.strands, tuple(big))
 
 

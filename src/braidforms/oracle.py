@@ -40,10 +40,7 @@ class Laurent:
         return Laurent(out)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return Laurent(out)
+        return self + -other
 
     def __neg__(self) -> "Laurent":
         return Laurent({e: -c for e, c in self.coeffs.items()})

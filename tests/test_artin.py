@@ -18,6 +18,7 @@ from braidforms import (
     reflection_sequence,
 )
 from braidforms.artin import (
+    _RULES,
     A_BAR,
     B_BAR,
     IDENT,
@@ -299,6 +300,28 @@ class TestNormalizeA:
         assert sum(int(line.rsplit(" ", 1)[1]) for line in lines) == 46282
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "e0fe5c10d4a91ed88f26febd11b195b487726301fc07e22211c7300cd723e4b1"
+
+    def test_tabled_tails_are_residual(self):
+        """Every a-letter an entry of ``_RULES`` leaves behind is residual, so
+        ``gather_steps_a`` puts the tails back on ``big`` untested.  Below
+        z1 z2, ``big``'s b-parity is odd when z1 is an a-letter and even when
+        z1 = z2; counting on through the entry, each a-letter of the tail has
+        an odd number of b-letters before it, and the letter that bubbles on
+        an even number.  The quotient group's reflections agree."""
+        assert len(_RULES) == 12
+        for (z1, z2, y), (b, t, tail) in _RULES.items():
+            odd = abs(z1) == 1
+            below = (2,) if odd else ()
+            lead = (b,) if b else ()
+            rhs = (*lead, t, *reversed(tail))
+            reflections = reflection_sequence(ArtinWord(below + rhs))[len(below) :]
+            for n, (x, reflection) in enumerate(zip(rhs, reflections)):
+                if abs(x) == 2:
+                    odd = not odd
+                    continue
+                bubbles_on = n == len(lead)
+                assert odd != bubbles_on, (z1, z2, y, n)
+                assert (reflection == A_BAR) == bubbles_on, (z1, z2, y, n)
 
     @pytest.mark.parametrize(
         "seed, steps, digest",

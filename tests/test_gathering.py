@@ -142,7 +142,9 @@ class TestGatherStrand:
 
     def test_stuck_letter_stays_small_through_each_pattern(self):
         # gather_strand bubbles a small letter through the big run without
-        # re-testing it: this holds for every stuck configuration in B9
+        # re-testing it, and puts the letters each pattern leaves behind
+        # straight back on the big run without testing them either: both
+        # hold for every stuck configuration in B9
         def is_big(p, t):
             return p in (abs(t), abs(t) + 1)
 
@@ -263,6 +265,19 @@ class TestNormalForm:
         with pytest.raises(StepBudgetExceeded) as exc:
             normal_form(w, max_steps=0)
         assert exc.value.reached == prefix
+
+    def test_commutation_heavy_word_pinned(self):
+        # each x1 commutes past all 400 x4: 200 * 400 steps for 600 letters
+        w = word(5, [4] * 400 + [1] * 200)
+        with pytest.raises(StepBudgetExceeded) as exc:
+            normal_form(w, max_steps=79999)
+        assert str(exc.value) == "step budget of 79999 exceeded while gathering strand 5"
+        nf = normal_form(w, max_steps=80000)
+        assert nf == NormalForm(5, 200, (word(5), word(5), word(5, [4] * 400)))
+        with pytest.raises(StepBudgetExceeded) as exc:
+            normal_form(w, max_steps=40000)
+        assert len(exc.value.reached) == 600
+        assert burau(exc.value.reached) == burau(w)
 
     def test_gathers_only_strands_the_word_reaches(self, monkeypatch):
         calls = []

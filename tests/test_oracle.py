@@ -38,7 +38,8 @@ class TestLaurent:
         assert hash(T) == hash(Laurent.t(1))
 
     def test_repr(self):
-        assert repr(ZERO) == "0"
+        assert repr(ZERO) == repr(Laurent()) == "0"
+        assert repr(Laurent({1: -3, -1: 2, 0: 0})) == "2*t^-1 + -3*t^1"
 
 
 class TestBurau:
