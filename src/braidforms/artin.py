@@ -29,10 +29,10 @@ the bubble ends and go back onto ``big`` untested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
-from .words import BraidWord, reduce_letters
+from .words import BraidWord, Record, reduce_letters
 
 # letters: +1 = a, -1 = a^-1, +2 = b, -2 = b^-1
 
@@ -56,17 +56,18 @@ def invert(f: SquareReflection) -> SquareReflection:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ArtinWord:
+class ArtinWord(Record):
     """Word over {a, b} and inverses, stored as signed integers 1 = a, 2 = b."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
+    letters: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for t in self.letters:
+    def __init__(self, letters: Iterable[int] = ()):
+        letters = tuple(letters)
+        for t in letters:
             if abs(t) not in (1, 2):
                 raise ValueError(f"bad letter {t}; expected +-1 or +-2")
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -84,10 +85,14 @@ def parse_artin(text: str) -> ArtinWord:
         raise ValueError(f"bad letter {exc.args[0]!r} in Artin word") from None
 
 
-@dataclass(frozen=True)
-class ArtinNormalForm:
+class ArtinNormalForm(Record):
+    __slots__ = ("m", "w1")
     m: int
     w1: ArtinWord
+
+    def __init__(self, m: int, w1: ArtinWord):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "w1", w1)
 
 
 def word_image(w: ArtinWord) -> SquareReflection:

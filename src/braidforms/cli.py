@@ -29,6 +29,14 @@ from .randbraid import RandomParams, random_braid
 from .rewriting import Strategy, residue
 from .words import BraidWord
 
+# a negative budget is a usage error
+_max_steps = click.option(
+    "--max-steps",
+    type=click.IntRange(min=0),
+    default=DEFAULT_STEP_BUDGET,
+    show_default=True,
+)
+
 
 def parse_word(text: str, strands: int) -> BraidWord:
     try:
@@ -130,7 +138,7 @@ def main():
 @click.option("--strands", type=int, required=True)
 @click.option("--report", is_flag=True, help="also print m and every block")
 @click.option("--pretty", is_flag=True, help="print x-notation instead of integers")
-@click.option("--max-steps", type=int, default=DEFAULT_STEP_BUDGET, show_default=True)
+@_max_steps
 @click.argument("word_text")
 def cmd_normalize(strands, report, pretty, max_steps, word_text):
     """Print the normal form of WORD_TEXT."""
@@ -161,7 +169,7 @@ def cmd_from_crossings(strands, crossing_text):
 @main.command("residue", context_settings={"ignore_unknown_options": True})
 @click.option("--strands", type=int, required=True)
 @click.option("--strategy", "strategy_text", default="leftmost", show_default=True)
-@click.option("--max-steps", type=int, default=DEFAULT_STEP_BUDGET, show_default=True)
+@_max_steps
 @click.argument("crossing_text")
 def cmd_residue(strands, strategy_text, max_steps, crossing_text):
     """Rewrite CROSSING_TEXT until no rule applies."""
@@ -184,7 +192,7 @@ def cmd_random(strands, stop_text, seed, pretty):
 
 @main.command("equal", context_settings={"ignore_unknown_options": True})
 @click.option("--strands", type=int, required=True)
-@click.option("--max-steps", type=int, default=DEFAULT_STEP_BUDGET, show_default=True)
+@_max_steps
 @click.argument("word1")
 @click.argument("word2")
 def cmd_equal(strands, max_steps, word1, word2):
@@ -196,7 +204,7 @@ def cmd_equal(strands, max_steps, word1, word2):
 
 
 @main.command("artin")
-@click.option("--max-steps", type=int, default=DEFAULT_STEP_BUDGET, show_default=True)
+@_max_steps
 @click.argument("action", type=click.Choice(["normalize", "equal"]))
 @click.argument("words", nargs=-1)
 def cmd_artin(max_steps, action, words):

@@ -8,10 +8,9 @@ membership in a finite automaton over strand arrangements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .words import BraidWord, identity_arrangement
+from .words import BraidWord, Record, identity_arrangement
 
 
 class Crossing(NamedTuple):
@@ -34,18 +33,20 @@ def crossing(a: int, b: int, sign: int = 1) -> Crossing:
     return Crossing(min(a, b), max(a, b), sign)
 
 
-@dataclass(frozen=True)
-class CrossingSequence:
+class CrossingSequence(Record):
+    __slots__ = ("strands", "items")
     strands: int
-    items: tuple[Crossing, ...] = ()
+    items: tuple[Crossing, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        for c in self.items:
-            if not (1 <= c.low < c.high <= self.strands):
-                raise ValueError(f"crossing {c} out of range for {self.strands} strands")
+    def __init__(self, strands: int, items: Iterable[Crossing] = ()):
+        items = tuple(items)
+        for c in items:
+            if not (1 <= c.low < c.high <= strands):
+                raise ValueError(f"crossing {c} out of range for {strands} strands")
             if c.sign not in (1, -1):
                 raise ValueError(f"bad sign in crossing {c}")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "items", items)
 
     def __len__(self) -> int:
         return len(self.items)

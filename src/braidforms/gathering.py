@@ -12,20 +12,23 @@ where block w_k entangles strand k only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .crossings import word_to_crossings
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
-from .words import BraidWord, free_reduce, reduce_letters
+from .words import BraidWord, Record, free_reduce, reduce_letters
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """Exponent of the leading x1 power plus the blocks w_3 .. w_N."""
 
+    __slots__ = ("strands", "m", "blocks")
     strands: int
     m: int
-    blocks: tuple[BraidWord, ...] = ()
+    blocks: tuple[BraidWord, ...]
+
+    def __init__(self, strands: int, m: int, blocks: tuple[BraidWord, ...] = ()):
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "blocks", blocks)
 
     def block(self, k: int) -> BraidWord:
         """Block w_k for 3 <= k <= strands."""

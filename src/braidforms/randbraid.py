@@ -10,33 +10,36 @@ already in normal form.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import Iterable
 
 from .gathering import NormalForm
-from .words import BraidWord
+from .words import BraidWord, Record
 
 
-@dataclass(frozen=True)
-class RandomParams:
+class RandomParams(Record):
     """Strand count, stopping probabilities s_2 .. s_N and a seed."""
 
+    __slots__ = ("strands", "stop", "seed")
     strands: int
     stop: tuple[float, ...]
-    seed: int = 0
+    seed: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "stop", tuple(self.stop))
-        if self.strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        expected = max(self.strands - 1, 0)
-        if len(self.stop) != expected:
+    def __init__(self, strands: int, stop: Iterable[float], seed: int = 0):
+        stop = tuple(stop)
+        if strands < 1:
+            raise ValueError(f"strand count must be >= 1, got {strands}")
+        expected = max(strands - 1, 0)
+        if len(stop) != expected:
             raise ValueError(
-                f"need {expected} stopping probabilities for {self.strands} strands, "
-                f"got {len(self.stop)}"
+                f"need {expected} stopping probabilities for {strands} strands, "
+                f"got {len(stop)}"
             )
-        for s in self.stop:
+        for s in stop:
             if not 0.0 < s <= 1.0:
                 raise ValueError(f"stopping probability {s} not in (0, 1]")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "seed", seed)
 
 
 def random_power(s: float, rng: random.Random) -> int:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress, count, islice
 from typing import NamedTuple
@@ -35,16 +34,21 @@ from typing import NamedTuple
 from .crossings import Crossing, CrossingSequence, crossing, validate, word_to_crossings
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 from .gathering import pattern_rhs
-from .words import BraidWord
+from .words import BraidWord, Record
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Record):
     """A bound rule instance: template name, matched length, replacement."""
 
+    __slots__ = ("template", "length", "replacement")
     template: str
     length: int
     replacement: tuple[Crossing, ...]
+
+    def __init__(self, template: str, length: int, replacement: tuple[Crossing, ...]):
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "replacement", replacement)
 
 
 class RewriteSite(NamedTuple):
@@ -52,8 +56,7 @@ class RewriteSite(NamedTuple):
     rule: RewriteRule
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Record):
     """Site-selection policy for residue computation.
 
     The policy picks, in position order, among the D sites and the
@@ -61,14 +64,17 @@ class Strategy:
     rightmost or a seeded random one.
     """
 
+    __slots__ = ("kind", "seed")
     kind: str  # "leftmost", "rightmost" or "random"
-    seed: int | None = None
+    seed: int | None
 
-    def __post_init__(self):
-        if self.kind not in ("leftmost", "rightmost", "random"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "random" and self.seed is None:
+    def __init__(self, kind: str, seed: int | None = None):
+        if kind not in ("leftmost", "rightmost", "random"):
+            raise ValueError(f"unknown strategy kind {kind!r}")
+        if kind == "random" and seed is None:
             raise ValueError("random strategy needs a seed")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "seed", seed)
 
 
 LEFTMOST = Strategy("leftmost")

@@ -8,30 +8,70 @@ immutable values; equality is letter-for-letter, never group equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class Record:
+    """Base of the immutable value types: a fixed tuple of named fields.
+
+    A subclass names its fields, in constructor order, in ``__slots__`` and
+    sets them in its own ``__init__`` with ``object.__setattr__``.  Two
+    records are equal only if they are of the same class with equal field
+    tuples; the hash is the field tuple's; ``repr`` reads
+    ``Name(field=value, ...)``; assigning a field raises ``AttributeError``;
+    pickling and copying call the constructor again with the fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of a single name returns the value, not a 1-tuple
+        cls._key = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+
+class BraidWord(Record):
     """A word in the braid group on ``strands`` strands.
 
     ``letters`` holds signed integers; letter t stands for x_|t|^sign(t)
     with 1 <= |t| <= strands - 1.
     """
 
+    __slots__ = ("strands", "letters")
     strands: int
-    letters: tuple[int, ...] = ()
+    letters: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for t in self.letters:
-            if t == 0 or abs(t) > self.strands - 1:
-                raise ValueError(
-                    f"letter {t} out of range for {self.strands} strands"
-                )
+    def __init__(self, strands: int, letters: Iterable[int] = ()):
+        if strands < 1:
+            raise ValueError(f"strand count must be >= 1, got {strands}")
+        letters = tuple(letters)
+        for t in letters:
+            if t == 0 or abs(t) > strands - 1:
+                raise ValueError(f"letter {t} out of range for {strands} strands")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)

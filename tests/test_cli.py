@@ -26,6 +26,9 @@ def run(runner, *args):
     return runner.invoke(cli.main, list(args))
 
 
+NEGATIVE_BUDGET = "Error: Invalid value for '--max-steps'"
+
+
 class TestUsageErrors:
     """Click's usage errors are input errors: exit 1, click's message kept."""
 
@@ -38,6 +41,10 @@ class TestUsageErrors:
             (["--bogus"], "Error: No such option"),
             (["artin", "frob", "a"], "Error: Invalid value for '{normalize|equal}'"),
             ([], "Error: Missing command."),
+            (["normalize", "--strands", "3", "--max-steps", "-1", "1 2"], NEGATIVE_BUDGET),
+            (["equal", "--strands", "3", "--max-steps", "-1", "1", "1"], NEGATIVE_BUDGET),
+            (["residue", "--strands", "3", "--max-steps", "-1", "1,2 -1,2"], NEGATIVE_BUDGET),
+            (["artin", "--max-steps", "-1", "normalize", "ab"], NEGATIVE_BUDGET),
         ],
     )
     def test_exits_1(self, runner, args, message):
