@@ -4,110 +4,85 @@ Core objects are immutable braid words and crossing sequences; the gathering
 engine computes the block-structured normal form, the rewriting engine does
 the same at crossing level, and the random generator emits braids already in
 normal form.
+
+``import braidforms`` loads no engine.  Each public name below, and each of
+the seven submodules that define them, is imported on first use (PEP 562),
+so ``from braidforms import artin`` loads ``artin`` and what it imports, and
+nothing else.
 """
 
-from .artin import (
-    ArtinNormalForm,
-    ArtinWord,
-    embed_b3,
-    equal_a,
-    gather_steps_a,
-    normalize_a,
-    parse_artin,
-    reflection_sequence,
-)
-from .crossings import (
-    Crossing,
-    CrossingSequence,
-    InvalidCrossing,
-    classify,
-    crossing,
-    crossings_to_word,
-    materialize_automaton,
-    validate,
-    word_to_crossings,
-)
-from .errors import StepBudgetExceeded
-from .gathering import (
-    NormalForm,
-    check_b3_parity,
-    gather_strand,
-    is_normal_form,
-    nf_to_word,
-    normal_form,
-)
-from .randbraid import (
-    RandomParams,
-    allowed_moves,
-    random_block,
-    random_braid,
-    random_power,
-)
-from .rewriting import (
-    LEFTMOST,
-    RIGHTMOST,
-    RewriteRule,
-    RewriteSite,
-    Strategy,
-    applicable_sites,
-    max_chain_length,
-    residue,
-)
-from .words import (
-    BraidWord,
-    aij,
-    concat,
-    free_reduce,
-    inverse,
-    is_pure,
-    permutation,
-    word,
-)
+import sys
 
-__all__ = [
-    "ArtinNormalForm",
-    "ArtinWord",
-    "BraidWord",
-    "Crossing",
-    "CrossingSequence",
-    "InvalidCrossing",
-    "LEFTMOST",
-    "NormalForm",
-    "RIGHTMOST",
-    "RandomParams",
-    "RewriteRule",
-    "RewriteSite",
-    "StepBudgetExceeded",
-    "Strategy",
-    "aij",
-    "allowed_moves",
-    "applicable_sites",
-    "check_b3_parity",
-    "classify",
-    "concat",
-    "crossing",
-    "crossings_to_word",
-    "embed_b3",
-    "equal_a",
-    "free_reduce",
-    "gather_steps_a",
-    "gather_strand",
-    "inverse",
-    "is_normal_form",
-    "is_pure",
-    "materialize_automaton",
-    "max_chain_length",
-    "nf_to_word",
-    "normal_form",
-    "normalize_a",
-    "parse_artin",
-    "permutation",
-    "random_block",
-    "random_braid",
-    "random_power",
-    "reflection_sequence",
-    "residue",
-    "validate",
-    "word",
-    "word_to_crossings",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "ArtinNormalForm": "artin",
+    "ArtinWord": "artin",
+    "embed_b3": "artin",
+    "equal_a": "artin",
+    "gather_steps_a": "artin",
+    "normalize_a": "artin",
+    "parse_artin": "artin",
+    "reflection_sequence": "artin",
+    "Crossing": "crossings",
+    "CrossingSequence": "crossings",
+    "InvalidCrossing": "crossings",
+    "classify": "crossings",
+    "crossing": "crossings",
+    "crossings_to_word": "crossings",
+    "materialize_automaton": "crossings",
+    "validate": "crossings",
+    "word_to_crossings": "crossings",
+    "StepBudgetExceeded": "errors",
+    "NormalForm": "gathering",
+    "check_b3_parity": "gathering",
+    "gather_strand": "gathering",
+    "is_normal_form": "gathering",
+    "nf_to_word": "gathering",
+    "normal_form": "gathering",
+    "RandomParams": "randbraid",
+    "allowed_moves": "randbraid",
+    "random_block": "randbraid",
+    "random_braid": "randbraid",
+    "random_power": "randbraid",
+    "LEFTMOST": "rewriting",
+    "RIGHTMOST": "rewriting",
+    "RewriteRule": "rewriting",
+    "RewriteSite": "rewriting",
+    "Strategy": "rewriting",
+    "applicable_sites": "rewriting",
+    "max_chain_length": "rewriting",
+    "residue": "rewriting",
+    "BraidWord": "words",
+    "aij": "words",
+    "concat": "words",
+    "free_reduce": "words",
+    "inverse": "words",
+    "is_pure": "words",
+    "permutation": "words",
+    "word": "words",
+}
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = sorted(_EXPORTS)
+
+
+def _submodule(name):
+    # __import__, unlike importlib.import_module, shows in -X importtime;
+    # importing a submodule also binds it on the package
+    qualified = f"{__name__}.{name}"
+    __import__(qualified)
+    return sys.modules[qualified]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return _submodule(name)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_submodule(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -66,6 +66,9 @@ class InvalidCrossing(ValueError):
         self.item = item
         super().__init__(f"invalid crossing at position {position}: {item}")
 
+    def __reduce__(self):
+        return type(self), (self.position, self.item), self.__dict__
+
 
 def word_to_crossings(w: BraidWord) -> CrossingSequence:
     """Trace the arrangement and record the strand pair of every letter."""

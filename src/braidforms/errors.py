@@ -10,12 +10,18 @@ class StepBudgetExceeded(RuntimeError):
     with a larger budget.  ``reached`` equals the loop's input in the group:
     the word of the strand being gathered (``gather_strand``, ``normal_form``),
     the ``CrossingSequence`` (``residue``) or the ``ArtinWord`` (``normalize_a``).
+    ``context`` is what the message says the loop was doing.
     """
 
     def __init__(self, budget: int, context: str = "", reached=None):
         self.budget = budget
+        self.context = context
         self.reached = reached
         msg = f"step budget of {budget} exceeded"
         if context:
             msg += f" while {context}"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the constructor's arguments, not the message
+        return type(self), (self.budget, self.context, self.reached), self.__dict__

@@ -26,6 +26,24 @@ def run(runner, *args):
     return runner.invoke(cli.main, list(args))
 
 
+def test_engine_functions_are_module_level_names():
+    """The traced ``cli_oneshot`` benchmark run (``bench/spans.py``) wraps
+    these names on the ``cli`` module, and tests patch ``normal_form``
+    there, so the commands must look them up at module level."""
+    from braidforms import crossings, diagram, gathering, randbraid, rewriting
+
+    homes = {
+        "normal_form": gathering,
+        "residue": rewriting,
+        "word_to_crossings": crossings,
+        "crossings_to_word": crossings,
+        "random_braid": randbraid,
+        "render_svg": diagram,
+    }
+    for name, home in homes.items():
+        assert vars(cli)[name] is getattr(home, name)
+
+
 NEGATIVE_BUDGET = "Error: Invalid value for '--max-steps'"
 
 

@@ -1,5 +1,5 @@
-"""Value semantics of the immutable record types, and what importing the
-package costs."""
+"""Value semantics of the immutable record types and the library's
+exceptions, and what importing the package costs."""
 
 import copy
 import os
@@ -15,9 +15,11 @@ from braidforms import (
     ArtinWord,
     BraidWord,
     CrossingSequence,
+    InvalidCrossing,
     NormalForm,
     RandomParams,
     RewriteRule,
+    StepBudgetExceeded,
     Strategy,
     crossing,
 )
@@ -62,6 +64,7 @@ VALUES = [
     (Strategy("random", 7), ("random", 7), "Strategy(kind='random', seed=7)"),
 ]
 IDS = [type(v).__name__ for v, _, _ in VALUES]
+CLONES = [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy]
 FIELD_NAMES = {
     BraidWord: ("strands", "letters"),
     NormalForm: ("strands", "m", "blocks"),
@@ -97,9 +100,7 @@ class TestValueSemantics:
                 setattr(value, name, None)
         assert repr(value) == text
 
-    @pytest.mark.parametrize(
-        "clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy]
-    )
+    @pytest.mark.parametrize("clone", CLONES)
     def test_round_trips(self, value, fields, text, clone):
         other = clone(value)
         assert type(other) is type(value)
@@ -107,18 +108,130 @@ class TestValueSemantics:
         assert hash(other) == hash(value)
 
 
+# (error, its message, the attributes it carries)
+ERRORS = [
+    (
+        StepBudgetExceeded(5, "gathering strand 4", BraidWord(5, (4, 4, 3))),
+        "step budget of 5 exceeded while gathering strand 4",
+        ("budget", "context", "reached"),
+    ),
+    (StepBudgetExceeded(7), "step budget of 7 exceeded", ("budget", "context", "reached")),
+    (
+        InvalidCrossing(2, crossing(1, 3, -1)),
+        "invalid crossing at position 2: Crossing(low=1, high=3, sign=-1)",
+        ("position", "item"),
+    ),
+]
+
+
+@pytest.mark.parametrize("error, message, names", ERRORS, ids=["budget", "bare", "crossing"])
+@pytest.mark.parametrize("clone", CLONES, ids=["pickle", "copy", "deepcopy"])
+def test_errors_round_trip(error, message, names, clone):
+    """Pickling is how an error crosses a process boundary, as from a
+    ``concurrent.futures`` worker."""
+    other = clone(error)
+    assert type(other) is type(error)
+    assert str(other) == str(error) == message
+    assert other.args == error.args
+    for name in names:
+        assert getattr(other, name) == getattr(error, name)
+
+
+def fresh(code: str) -> str:
+    """The stdout of ``code`` in a fresh interpreter that imports braidforms
+    from this checkout.  ``-S`` keeps whatever the site-packages hooks import
+    out of the check."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return out.stdout.strip()
+
+
+def loaded_after(statement: str) -> list:
+    """The braidforms modules that ``statement`` loads in a fresh interpreter."""
+    listing = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'braidforms'))"
+    return fresh(f"import sys\n{statement}\n{listing}").split()
+
+
 def test_import_pulls_in_neither_dataclasses_nor_inspect():
     """Importing ``dataclasses`` (and the ``inspect``, ``ast`` and ``dis`` it
-    brings) used to be about half of the package's import time.  ``-S`` keeps
-    whatever the site-packages hooks import out of the check."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    brings) used to be about half of the package's import time."""
     code = (
         "import sys, braidforms\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
+    assert fresh(code) == "[]"
+
+
+ARTIN_ONLY = ["braidforms", "braidforms.artin", "braidforms.errors", "braidforms.words"]
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import braidforms", ["braidforms"]),
+        ("import braidforms; dir(braidforms); braidforms.__all__", ["braidforms"]),
+        ("from braidforms import artin", ARTIN_ONLY),
+        ("from braidforms import normalize_a", ARTIN_ONLY),
+    ],
+)
+def test_import_loads_only_the_engines_used(statement, loaded):
+    assert loaded_after(statement) == loaded
+
+
+def test_gathering_loads_no_other_engine():
+    loaded = loaded_after("from braidforms import gathering")
+    assert "braidforms.gathering" in loaded
+    assert not {"braidforms.rewriting", "braidforms.artin", "braidforms.randbraid"} & set(loaded)
+
+
+def test_public_names_are_their_submodules_objects():
+    """Each name is read through the package first, then compared with the
+    module its value says it comes from."""
+    code = (
+        "import sys, braidforms\n"
+        "listed = dir(braidforms)\n"
+        "for name in braidforms.__all__:\n"
+        "    value = getattr(braidforms, name)\n"
+        "    home = sys.modules[value.__module__]\n"
+        "    if name not in listed or home is braidforms or getattr(home, name) is not value:\n"
+        "        print(name)\n"
     )
-    assert out.stdout.strip() == "[]"
+    assert fresh(code) == ""
+
+
+def test_star_import_binds_exactly_all():
+    code = (
+        "import braidforms\n"
+        "ns = {}\n"
+        "exec('from braidforms import *', ns)\n"
+        "print(len(braidforms.__all__), sorted(set(ns) - {'__builtins__'} ^ set(braidforms.__all__)))"
+    )
+    assert fresh(code) == "45 []"
+
+
+def test_submodules_are_attributes_after_a_bare_import():
+    """The seven engines are package attributes; other submodules, such as
+    ``diagram`` (or ``cli``, which needs click from site-packages), are
+    imported only by name."""
+    code = (
+        "import braidforms\n"
+        "names = 'artin crossings errors gathering randbraid rewriting words'.split()\n"
+        "print(all(hasattr(braidforms, name) for name in names))\n"
+        "print(braidforms.gathering.normal_form(braidforms.word(4, [3, -2, -2, 1])).m)\n"
+        "print(hasattr(braidforms, 'diagram'))\n"
+        "from braidforms import diagram\n"
+        "print(diagram.__name__)"
+    )
+    assert fresh(code).split() == ["True", "1", "False", "braidforms.diagram"]
+
+
+def test_unknown_names_raise_attribute_error():
+    import braidforms
+
+    with pytest.raises(AttributeError, match=r"^module 'braidforms' has no attribute 'nope'$"):
+        braidforms.nope
+    assert not hasattr(braidforms, "nope")
