@@ -29,6 +29,7 @@ _EXPORTS = {
     "classify": "crossings",
     "crossing": "crossings",
     "crossings_to_word": "crossings",
+    "is_normal_form": "crossings",
     "materialize_automaton": "crossings",
     "validate": "crossings",
     "word_to_crossings": "crossings",
@@ -36,7 +37,6 @@ _EXPORTS = {
     "NormalForm": "gathering",
     "check_b3_parity": "gathering",
     "gather_strand": "gathering",
-    "is_normal_form": "gathering",
     "nf_to_word": "gathering",
     "normal_form": "gathering",
     "RandomParams": "randbraid",

@@ -2,12 +2,13 @@
 
 Words are whitespace-separated signed integers ("3 -2 -2 1" is x3 x2^-2 x1);
 crossing sequences are tokens "r,s" with an optional leading minus for the
-sign ("3,4 -2,4 -2,4 1,2").  Results go to stdout, diagnostics to stderr.
+sign ("3,4 -2,4 -2,4 1,2").  Numbers are ASCII decimal digits only.  Results go to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 input or usage error, 2 step budget exceeded.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from contextlib import contextmanager
 
@@ -38,12 +39,16 @@ _max_steps = click.option(
 )
 
 
+# int() alone would also take "1_0", non-ASCII digits and a sign inside "r,s"
+_LETTER = re.compile(r"[+-]?[0-9]+")
+_CROSSING = re.compile(r"(-?)([0-9]+),([0-9]+)")
+
+
 def parse_word(text: str, strands: int) -> BraidWord:
-    try:
-        letters = tuple(int(tok) for tok in text.split())
-    except ValueError:
+    tokens = text.split()
+    if not all(map(_LETTER.fullmatch, tokens)):
         raise ValueError(f"cannot parse word {text!r}: expected signed integers")
-    return BraidWord(strands, letters)
+    return BraidWord(strands, tuple(map(int, tokens)))
 
 
 def format_word(w: BraidWord, pretty: bool = False) -> str:
@@ -57,19 +62,13 @@ def format_word(w: BraidWord, pretty: bool = False) -> str:
 def parse_crossings(text: str, strands: int) -> CrossingSequence:
     items: list[Crossing] = []
     for tok in text.split():
-        sign = 1
-        body = tok
-        if body.startswith("-"):
-            sign = -1
-            body = body[1:]
-        try:
-            r_str, s_str = body.split(",")
-            r, s = int(r_str), int(s_str)
-        except ValueError:
+        m = _CROSSING.fullmatch(tok)
+        if m is None:
             raise ValueError(f"cannot parse crossing token {tok!r}")
+        minus, r, s = m[1], int(m[2]), int(m[3])
         if not r < s:
             raise ValueError(f"crossing token {tok!r} must have r < s")
-        items.append(crossing(r, s, sign))
+        items.append(crossing(r, s, -1 if minus else 1))
     return CrossingSequence(strands, tuple(items))
 
 

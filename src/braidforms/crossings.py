@@ -119,6 +119,18 @@ def classify(c: CrossingSequence, k: int) -> tuple[str, ...]:
     return tuple("big" if k in (x.low, x.high) else "small" for x in c.items)
 
 
+def is_normal_form(w: BraidWord) -> bool:
+    """True iff ``w`` is freely reduced and its crossings are block-ordered.
+
+    In block order the higher strand of successive crossings never decreases:
+    |1,2| crossings first, then |.,3|, then |.,4| and so on.
+    """
+    if not w.is_reduced():
+        return False
+    highs = [c.high for c in word_to_crossings(w).items]
+    return all(a <= b for a, b in zip(highs, highs[1:]))
+
+
 def materialize_automaton(strands: int) -> dict[tuple[int, ...], dict[Crossing, tuple[int, ...]]]:
     """Full transition table of the validity automaton.
 

@@ -7,13 +7,15 @@ k = N, N-1, ..., 3 yields the unique form
 
     x1^m . w_3(x1,x2) . w_4(x1,x2,x3) ... w_N(x1,...,x_{N-1})
 
-where block w_k entangles strand k only.
+where block w_k entangles strand k only.  A small letter bubbles left
+through the big run by commuting or by ``patterns.pattern_rhs``; whether a
+word is already in this form is ``crossings.is_normal_form``.
 """
 
 from __future__ import annotations
 
-from .crossings import word_to_crossings
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
+from .patterns import pattern_rhs
 from .words import BraidWord, Record, free_reduce, reduce_letters
 
 
@@ -35,35 +37,6 @@ class NormalForm(Record):
         if not 3 <= k <= self.strands:
             raise ValueError(f"block index {k} not in 3..{self.strands}")
         return self.blocks[k - 3]
-
-
-def pattern_rhs(a: int, b: int, c: int) -> tuple[str, tuple[int, ...]] | None:
-    """(rule name, replacement) for the non-commuting configurations.
-
-    ``a b`` are the last two letters before the gathered letter ``c``, and
-    ``x_p x_q`` with ``|p - q| = 1`` are the generators of ``b`` and ``c``.
-    Each configuration is written once for both ``q = p + 1`` and its mirror
-    image ``q = p - 1``, and named by the crossing rule I1-I4 it is; the four
-    are exhaustive for freely reduced words, anything else returns None.
-    """
-    p, q = abs(b), abs(c)
-    sa = 1 if a > 0 else -1
-    sb = 1 if b > 0 else -1
-    sc = 1 if c > 0 else -1
-    if abs(p - q) == 1:
-        if abs(a) == q:
-            if sb == sc:
-                # x_q^d x_p^e x_q^e -> x_p^e x_q^e x_p^d
-                return "I1", (p * sb, q * sb, p * sa)
-            if sa == sb:
-                # x_q^e x_p^e x_q^d -> x_p^d x_q^e x_p^e
-                return "I2", (p * sc, q * sa, p * sa)
-            # sa == sc == -sb: x_q^e x_p^-e x_q^e -> x_p^e x_q^e x_p^2e x_q^-2e x_p^-e
-            return "I4", (p * sa, q * sa, p * sa, p * sa, -q * sa, -q * sa, -p * sa)
-        if abs(a) == p and sa == sb:
-            # x_p^e x_p^e x_q^d -> x_q^d x_p^d x_q^2e x_p^-d
-            return "I3", (q * sc, p * sc, q * sa, q * sa, -p * sc)
-    return None
 
 
 def gather_strand(
@@ -162,18 +135,6 @@ def nf_to_word(nf: NormalForm) -> BraidWord:
     for block in nf.blocks:
         letters += block.letters
     return BraidWord(nf.strands, letters)
-
-
-def is_normal_form(w: BraidWord) -> bool:
-    """True iff ``w`` is freely reduced and its crossings are block-ordered.
-
-    In block order the higher strand of successive crossings never decreases:
-    |1,2| crossings first, then |.,3|, then |.,4| and so on.
-    """
-    if not w.is_reduced():
-        return False
-    highs = [c.high for c in word_to_crossings(w).items]
-    return all(a <= b for a, b in zip(highs, highs[1:]))
 
 
 def _runs(letters: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -1,13 +1,14 @@
 """Confluent rewriting of crossing sequences.
 
 The rules act directly on sequences of crossings: three-crossing
-reorderings (I1-I4, the gathering process's ``pattern_rhs`` read on
-crossings and named by it), the swap of commuting crossings (COM) and
-cancellation of adjacent inverse crossings (D).  Every maximal chain of
-rewrites from a valid sequence terminates in the same residue, which is the
-block-ordered normal form of the underlying braid.  Each gathering step is
-one COM or I-rule of the strand being gathered, so ``normal_form`` follows
-one such chain.
+reorderings (I1-I4, the gathering process's replacement table
+``patterns.pattern_rhs`` read on crossings and named by it), the swap of
+commuting crossings (COM) and cancellation of adjacent inverse crossings
+(D).  Every maximal chain of rewrites from a valid sequence terminates in
+the same residue, which is the block-ordered normal form of the underlying
+braid.  Each gathering step is one COM or I-rule of the strand being
+gathered, so ``normal_form`` follows one such chain; ``residue`` imports the
+table only, not the gathering engine.
 
 ``residue`` rewrites in the strand order that ``normal_form`` gathers: at
 each step its strategy picks among the D sites, which are always eligible,
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 from .crossings import Crossing, CrossingSequence, crossing, validate, word_to_crossings
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
-from .gathering import pattern_rhs
+from .patterns import pattern_rhs
 from .words import BraidWord, Record
 
 

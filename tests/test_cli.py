@@ -106,6 +106,31 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             parse_crossings("1;2", 3)
 
+    def test_signs_and_leading_zeros(self):
+        assert parse_word("+1 -02 003", 4) == word(4, [1, -2, 3])
+        assert parse_crossings("-01,2 2,03", 3) == sequence(3, [(1, 2, -1), (2, 3, 1)])
+
+
+class TestPlainDecimalsOnly:
+    """``int`` alone would read these: underscores, non-ASCII digits, a
+    doubled sign, or a sign inside a crossing token."""
+
+    @pytest.mark.parametrize(
+        "strands, text", [(20, "1_0"), (4, "+1 ٢"), (4, "１"), (4, "--1"), (4, "+-1")]
+    )
+    def test_word_exits_1(self, runner, strands, text):
+        res = run(runner, "normalize", "--strands", str(strands), text)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == f"cannot parse word {text!r}: expected signed integers\n"
+
+    @pytest.mark.parametrize("token", ["--1,2", "1,-2", "+1,2", "1_0,2", "١,2", "-1,2,3"])
+    def test_crossing_exits_1(self, runner, token):
+        res = run(runner, "from-crossings", "--strands", "3", "--", f"1,2 {token}")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == f"cannot parse crossing token {token!r}\n"
+
 
 class TestNormalize:
     def test_example(self, runner):
