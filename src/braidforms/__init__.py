@@ -34,7 +34,6 @@ _EXPORTS = {
     "validate": "crossings",
     "word_to_crossings": "crossings",
     "StepBudgetExceeded": "errors",
-    "NormalForm": "gathering",
     "check_b3_parity": "gathering",
     "gather_strand": "gathering",
     "nf_to_word": "gathering",
@@ -53,6 +52,7 @@ _EXPORTS = {
     "max_chain_length": "rewriting",
     "residue": "rewriting",
     "BraidWord": "words",
+    "NormalForm": "words",
     "aij": "words",
     "concat": "words",
     "free_reduce": "words",

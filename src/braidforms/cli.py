@@ -2,7 +2,8 @@
 
 Words are whitespace-separated signed integers ("3 -2 -2 1" is x3 x2^-2 x1);
 crossing sequences are tokens "r,s" with an optional leading minus for the
-sign ("3,4 -2,4 -2,4 1,2").  Numbers are ASCII decimal digits only.  Results go to stdout, diagnostics to stderr.
+sign ("3,4 -2,4 -2,4 1,2").  Numbers, option values too, are ASCII decimal
+digits only.  Results go to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 input or usage error, 2 step budget exceeded.
 """
 
@@ -11,8 +12,6 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
-
-import click
 
 from . import artin as artin_mod
 from .crossings import (
@@ -30,18 +29,36 @@ from .randbraid import RandomParams, random_braid
 from .rewriting import Strategy, residue
 from .words import BraidWord
 
-# a negative budget is a usage error
-_max_steps = click.option(
-    "--max-steps",
-    type=click.IntRange(min=0),
-    default=DEFAULT_STEP_BUDGET,
-    show_default=True,
-)
-
+# after the engines: importing click first raises a CLI process's peak RSS ~0.5 MB
+import click
 
 # int() alone would also take "1_0", non-ASCII digits and a sign inside "r,s"
 _LETTER = re.compile(r"[+-]?[0-9]+")
 _CROSSING = re.compile(r"(-?)([0-9]+),([0-9]+)")
+
+
+class _Decimal(click.IntRange):
+    """click's integer option type, read from ASCII decimals only."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str) and not _LETTER.fullmatch(value):
+            self.fail(f"{value!r} is not a valid integer.", param, ctx)
+        return super().convert(value, param, ctx)
+
+    def _describe_range(self):
+        # click would describe an unbounded range as "x<=None"
+        return "" if self.min is None else super()._describe_range()
+
+
+# a negative budget is a usage error
+_max_steps = click.option(
+    "--max-steps",
+    type=_Decimal(min=0),
+    default=DEFAULT_STEP_BUDGET,
+    show_default=True,
+)
 
 
 def parse_word(text: str, strands: int) -> BraidWord:
@@ -86,11 +103,9 @@ def _fail(message: str, code: int) -> None:
 def _parse_strategy(text: str) -> Strategy:
     if text in ("leftmost", "rightmost"):
         return Strategy(text)
-    if text.startswith("random:"):
-        try:
-            return Strategy("random", int(text.split(":", 1)[1]))
-        except ValueError:
-            pass
+    kind, _, seed = text.partition(":")
+    if kind == "random" and _LETTER.fullmatch(seed):
+        return Strategy("random", int(seed))
     raise ValueError(
         f"bad strategy {text!r}: expected leftmost, rightmost or random:SEED"
     )
@@ -134,7 +149,7 @@ def main():
 
 
 @main.command("normalize", context_settings={"ignore_unknown_options": True})
-@click.option("--strands", type=int, required=True)
+@click.option("--strands", type=_Decimal(), required=True)
 @click.option("--report", is_flag=True, help="also print m and every block")
 @click.option("--pretty", is_flag=True, help="print x-notation instead of integers")
 @_max_steps
@@ -150,7 +165,7 @@ def cmd_normalize(strands, report, pretty, max_steps, word_text):
 
 
 @main.command("crossings", context_settings={"ignore_unknown_options": True})
-@click.option("--strands", type=int, required=True)
+@click.option("--strands", type=_Decimal(), required=True)
 @click.argument("word_text")
 def cmd_crossings(strands, word_text):
     """Print the crossing sequence of WORD_TEXT."""
@@ -158,7 +173,7 @@ def cmd_crossings(strands, word_text):
 
 
 @main.command("from-crossings", context_settings={"ignore_unknown_options": True})
-@click.option("--strands", type=int, required=True)
+@click.option("--strands", type=_Decimal(), required=True)
 @click.argument("crossing_text")
 def cmd_from_crossings(strands, crossing_text):
     """Print the braid word of CROSSING_TEXT."""
@@ -166,7 +181,7 @@ def cmd_from_crossings(strands, crossing_text):
 
 
 @main.command("residue", context_settings={"ignore_unknown_options": True})
-@click.option("--strands", type=int, required=True)
+@click.option("--strands", type=_Decimal(), required=True)
 @click.option("--strategy", "strategy_text", default="leftmost", show_default=True)
 @_max_steps
 @click.argument("crossing_text")
@@ -178,9 +193,9 @@ def cmd_residue(strands, strategy_text, max_steps, crossing_text):
 
 
 @main.command("random")
-@click.option("--strands", type=int, required=True)
+@click.option("--strands", type=_Decimal(), required=True)
 @click.option("--stop", "stop_text", required=True, help="comma-separated s_2,...,s_N")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_Decimal(), default=0, show_default=True)
 @click.option("--pretty", is_flag=True)
 def cmd_random(strands, stop_text, seed, pretty):
     """Sample a random braid, printed in normal form."""
@@ -190,7 +205,7 @@ def cmd_random(strands, stop_text, seed, pretty):
 
 
 @main.command("equal", context_settings={"ignore_unknown_options": True})
-@click.option("--strands", type=int, required=True)
+@click.option("--strands", type=_Decimal(), required=True)
 @_max_steps
 @click.argument("word1")
 @click.argument("word2")
@@ -227,9 +242,9 @@ def cmd_artin(max_steps, action, words):
 
 
 @main.command("diagram", context_settings={"ignore_unknown_options": True})
-@click.option("--strands", type=int, required=True)
+@click.option("--strands", type=_Decimal(), required=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), required=True)
-@click.option("--bold", type=int, default=None, help="highlight one strand")
+@click.option("--bold", type=_Decimal(), default=None, help="highlight one strand")
 @click.argument("word_text")
 def cmd_diagram(strands, out_path, bold, word_text):
     """Write an SVG diagram of WORD_TEXT to --out."""

@@ -14,29 +14,11 @@ word is already in this form is ``crossings.is_normal_form``.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 from .patterns import pattern_rhs
-from .words import BraidWord, Record, free_reduce, reduce_letters
-
-
-class NormalForm(Record):
-    """Exponent of the leading x1 power plus the blocks w_3 .. w_N."""
-
-    __slots__ = ("strands", "m", "blocks")
-    strands: int
-    m: int
-    blocks: tuple[BraidWord, ...]
-
-    def __init__(self, strands: int, m: int, blocks: tuple[BraidWord, ...] = ()):
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", blocks)
-
-    def block(self, k: int) -> BraidWord:
-        """Block w_k for 3 <= k <= strands."""
-        if not 3 <= k <= self.strands:
-            raise ValueError(f"block index {k} not in 3..{self.strands}")
-        return self.blocks[k - 3]
+from .words import BraidWord, NormalForm, free_reduce, reduce_letters
 
 
 def gather_strand(
@@ -137,19 +119,6 @@ def nf_to_word(nf: NormalForm) -> BraidWord:
     return BraidWord(nf.strands, letters)
 
 
-def _runs(letters: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Split into maximal runs of one generator: (index, signed exponent)."""
-    runs: list[tuple[int, int]] = []
-    for t in letters:
-        i = abs(t)
-        s = 1 if t > 0 else -1
-        if runs and runs[-1][0] == i:
-            runs[-1] = (i, runs[-1][1] + s)
-        else:
-            runs.append((i, s))
-    return runs
-
-
 def check_b3_parity(nf: NormalForm) -> bool:
     """Parity law for the single block of a 3-strand normal form.
 
@@ -165,11 +134,8 @@ def check_b3_parity(nf: NormalForm) -> bool:
     letters = nf.block(3).letters
     if not letters:
         return True
-    runs = _runs(letters)
-    if runs[0][0] != 2:
+    if abs(letters[0]) != 2:
         return False
-    for r, (_, exp) in enumerate(runs[:-1], start=1):
-        want_odd = r == 1
-        if (abs(exp) % 2 == 1) != want_odd:
-            return False
-    return True
+    # maximal runs of one generator; a run's exponent has its length's parity
+    lengths = [len(list(run)) for _, run in groupby(letters, key=abs)]
+    return all((n % 2 == 1) == (r == 0) for r, n in enumerate(lengths[:-1]))

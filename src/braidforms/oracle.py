@@ -14,7 +14,7 @@ import random
 from collections import deque
 from typing import Iterator
 
-from .words import BraidWord, concat, free_reduce, inverse, permutation, reduce_letters
+from .words import BraidWord, concat, free_reduce, inverse, permutation
 
 
 class Laurent:
@@ -77,6 +77,11 @@ ONE_MINUS_T = ONE - T
 ONE_MINUS_TINV = ONE - TINV
 
 BurauMatrix = tuple[tuple[Laurent, ...], ...]
+
+# the longest word bfs_equal visits, if the start is no longer
+BFS_MAX_LEN = 16
+# the room mutate leaves for insertions beyond two per move
+MUTATE_EXTRA_LEN = 6
 
 
 def burau_identity(n: int) -> BurauMatrix:
@@ -161,16 +166,12 @@ def relation_neighbors(
                 yield letters[:p] + (-g, g) + letters[p:]
 
 
-def bfs_equal(
-    u: BraidWord,
-    v: BraidWord,
-    max_len: int = 16,
-    max_states: int = 50_000,
-) -> Verdict:
+def bfs_equal(u: BraidWord, v: BraidWord, max_states: int = 50_000) -> Verdict:
     """Decide equality within budgets, or report Unknown.
 
     Permutation and Burau mismatches give a definite NOT_EQUAL; a relation-move
-    path from u v^-1 to the empty word gives EQUAL.
+    path from u v^-1 to the empty word, through words of at most
+    ``BFS_MAX_LEN`` letters (or the start's length, if longer), gives EQUAL.
     """
     if u.strands != v.strands:
         raise ValueError("strand count mismatch")
@@ -181,7 +182,7 @@ def bfs_equal(
     start = free_reduce(concat(u, inverse(v))).letters
     if not start:
         return Verdict.EQUAL
-    cap = max(len(start), max_len)
+    cap = max(len(start), BFS_MAX_LEN)
     seen = {start}
     queue = deque([start])
     while queue and len(seen) < max_states:
@@ -196,12 +197,10 @@ def bfs_equal(
     return Verdict.UNKNOWN
 
 
-def mutate(
-    w: BraidWord, rng: random.Random, moves: int, extra_len: int = 6
-) -> BraidWord:
+def mutate(w: BraidWord, rng: random.Random, moves: int) -> BraidWord:
     """Apply ``moves`` random relation moves; the group element is preserved."""
     letters = w.letters
-    cap = len(letters) + 2 * moves + extra_len
+    cap = len(letters) + 2 * moves + MUTATE_EXTRA_LEN
     for _ in range(moves):
         options = list(relation_neighbors(letters, w.strands, cap))
         if not options:
@@ -221,4 +220,4 @@ def random_word(strands: int, length: int, rng: random.Random) -> BraidWord:
             if not letters or g * s != -letters[-1]
         ]
         letters.append(choices[rng.randrange(len(choices))])
-    return BraidWord(strands, reduce_letters(letters))
+    return BraidWord(strands, letters)

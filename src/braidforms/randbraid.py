@@ -12,8 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .gathering import NormalForm
-from .words import BraidWord, Record
+from .words import BraidWord, NormalForm, Record
 
 
 class RandomParams(Record):

@@ -1,5 +1,5 @@
-"""Braid words over a fixed strand count, free-group operations and the
-permutation homomorphism.
+"""Braid words over a fixed strand count, the normal-form record, free-group
+operations and the permutation homomorphism.
 
 A word in B_N (generators x_1 .. x_{N-1}) is stored as a sequence of signed
 nonzero integers: the letter ``t`` means x_|t| raised to sign(t).  Words are
@@ -83,9 +83,27 @@ class BraidWord(Record):
         return all(a != -b for a, b in zip(self.letters, self.letters[1:]))
 
 
-def word(strands: int, letters: Iterable[int] = ()) -> BraidWord:
-    """Convenience constructor."""
-    return BraidWord(strands, tuple(letters))
+word = BraidWord
+
+
+class NormalForm(Record):
+    """Exponent of the leading x1 power plus the blocks w_3 .. w_N."""
+
+    __slots__ = ("strands", "m", "blocks")
+    strands: int
+    m: int
+    blocks: tuple[BraidWord, ...]
+
+    def __init__(self, strands: int, m: int, blocks: tuple[BraidWord, ...] = ()):
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "blocks", blocks)
+
+    def block(self, k: int) -> BraidWord:
+        """Block w_k for 3 <= k <= strands."""
+        if not 3 <= k <= self.strands:
+            raise ValueError(f"block index {k} not in 3..{self.strands}")
+        return self.blocks[k - 3]
 
 
 def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:

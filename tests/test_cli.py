@@ -112,8 +112,9 @@ class TestTextFormats:
 
 
 class TestPlainDecimalsOnly:
-    """``int`` alone would read these: underscores, non-ASCII digits, a
-    doubled sign, or a sign inside a crossing token."""
+    """``int`` alone would read these, in a word, a crossing token, an
+    integer option or a strategy seed: underscores, non-ASCII digits,
+    spaces, a doubled sign, or a sign inside a crossing token."""
 
     @pytest.mark.parametrize(
         "strands, text", [(20, "1_0"), (4, "+1 ٢"), (4, "１"), (4, "--1"), (4, "+-1")]
@@ -130,6 +131,31 @@ class TestPlainDecimalsOnly:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert res.stderr == f"cannot parse crossing token {token!r}\n"
+
+    @pytest.mark.parametrize(
+        "option, args",
+        [
+            ("--strands", ["normalize", "--strands", "1_0", "9"]),
+            ("--strands", ["normalize", "--strands", "٣", "1"]),
+            ("--strands", ["normalize", "--strands", "+-3", "1"]),
+            ("--seed", ["random", "--strands", "3", "--stop", "0.5,0.5", "--seed", "1_0"]),
+            ("--seed", ["random", "--strands", "3", "--stop", "0.5,0.5", "--seed", "--1"]),
+            ("--bold", ["diagram", "--strands", "3", "--out", "x.svg", "--bold", "１", "1"]),
+            ("--max-steps", ["normalize", "--strands", "3", "--max-steps", "1_0", "1"]),
+        ],
+    )
+    def test_option_exits_1(self, runner, option, args):
+        res = run(runner, *args)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert f"Error: Invalid value for '{option}'" in res.stderr
+
+    @pytest.mark.parametrize("strategy", ["random:٧", "random: 7", "random:--7"])
+    def test_strategy_seed_exits_1(self, runner, strategy):
+        res = run(runner, "residue", "--strands", "3", "--strategy", strategy, "1,2")
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"bad strategy {strategy!r}")
 
 
 class TestNormalize:

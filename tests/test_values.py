@@ -189,12 +189,11 @@ GATHERING_ONLY = package("errors", "gathering", "patterns", "words")
         ),
         ("from braidforms import crossings", CROSSINGS_ONLY),
         ("from braidforms import is_normal_form", CROSSINGS_ONLY),
-        (
-            "from braidforms import randbraid",
-            package("errors", "gathering", "patterns", "randbraid", "words"),
-        ),
+        # the sampler emits normal forms without gathering
+        ("from braidforms import randbraid", package("randbraid", "words")),
         ("from braidforms import diagram", package("diagram", "words")),
         ("from braidforms import patterns", package("patterns")),
+        ("from braidforms import NormalForm", package("words")),
     ],
 )
 def test_import_loads_only_the_engines_used(statement, loaded):
