@@ -18,7 +18,7 @@ from itertools import groupby
 
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 from .patterns import pattern_rhs
-from .words import BraidWord, NormalForm, free_reduce, reduce_letters
+from .words import BraidWord, NormalForm, free_reduce
 
 
 def gather_strand(
@@ -38,6 +38,12 @@ def gather_strand(
     letter is small and bubbles on while the rest is big.  Later steps keep
     the permutation before them, so what a bubble leaves behind is still big
     and goes straight onto the emptied run, with free cancellation only.
+    That cancellation can start only where a pattern's tail meets the letter
+    before it: the run and each replacement are freely reduced, and a
+    replacement's second letter is adjacent to its first, so a letter that
+    commutes past the new bubbling letter never cancels the tail beside it.
+    Those junctions are noted as the tails are collected; a bubble with none
+    goes back at C speed, and ``_reduce_at`` cancels only at the others.
     Each commutation or pattern is one step; with ``max_steps`` = s, a
     budget trip's ``reached`` is the word after step s.
     """
@@ -60,8 +66,11 @@ def gather_strand(
             # move the popped letter made
             pos = i if pos == i + 1 else i + 1
             continue
-        # t is small, so strand k stays put; what t leaves behind collects on left
+        # t is small, so strand k stays put; what t leaves behind collects on
+        # left, and cuts holds where a tail's first letter cancels the one
+        # before it
         left: list[int] = []
+        cuts: list[int] = []
         while big:
             if steps >= max_steps:
                 reached = (*small, *big, t, *left[::-1], *w.letters[j + 1 :])
@@ -85,13 +94,34 @@ def gather_strand(
                 rule = rules[key] = (rhs[0], rhs[:0:-1])
             t, tail = rule
             i = abs(t)
+            if left and left[-1] == -tail[0]:
+                cuts.append(len(left))
             left.extend(tail)
         if small and small[-1] == -t:
             small.pop()
         else:
             small.append(t)
-        big.extend(reduce_letters(reversed(left)))
+        if cuts:
+            left = _reduce_at(left, cuts)
+        big.extend(reversed(left))
     return BraidWord(w.strands, tuple(small)), BraidWord(w.strands, tuple(big))
+
+
+def _reduce_at(letters: list[int], cuts: list[int]) -> list[int]:
+    """Freely reduce ``letters``, which can cancel only from the positions
+    ``cuts``: copy by slice up to each cut, then cancel while the output's top
+    and the next letter are inverse.  A two-letter tail can cancel at both
+    ends, so the cancelling at a cut can reach back past it."""
+    out: list[int] = []
+    s = 0
+    for cut in cuts:
+        out += letters[s:cut]
+        s = max(s, cut)
+        while out and s < len(letters) and out[-1] == -letters[s]:
+            out.pop()
+            s += 1
+    out += letters[s:]
+    return out
 
 
 def normal_form(w: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> NormalForm:

@@ -1,5 +1,6 @@
 """The gathering process: normal forms, per-step audits, block structure."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -30,6 +31,83 @@ from braidforms import (
 from braidforms import gathering
 from braidforms.crossings import CrossingSequence
 from braidforms.oracle import burau, check_rule_instance, mutate, random_word
+from braidforms.words import reduce_letters
+
+
+def is_big(p, t):
+    """Whether letter t crosses the strand at position p."""
+    return p in (abs(t), abs(t) + 1)
+
+
+def move(p, t):
+    """The position of a strand at p after the big letter t."""
+    return abs(t) if p == abs(t) + 1 else abs(t) + 1
+
+
+def pattern_runs(m):
+    """Every run of m consecutive pattern steps of a bubble, up to relabelling.
+
+    The big run ends in 2m letters, read from position 2m + 1 of the gathered
+    strand, and the small letter t bubbles through all of them by patterns
+    alone, with no commutation between.  Yields each run's tails in the
+    order ``gather_strand`` collects them on ``left``.
+    """
+    gens = [i * s for i in range(1, 4 * m + 2) for s in (1, -1)]
+
+    def runs_from(p, n, last):
+        if n == 0:
+            yield (), p
+            return
+        for z in gens:
+            if is_big(p, z) and z != -last:
+                for rest, q in runs_from(move(p, z), n - 1, z):
+                    yield (z, *rest), q
+
+    for zs, r in runs_from(2 * m + 1, 2 * m, 0):
+        for t in gens:
+            if is_big(r, t):
+                continue
+            big, tails = list(zs), []
+            while big and abs(abs(big[-1]) - abs(t)) == 1:
+                z2 = big.pop()
+                _, rhs = gathering.pattern_rhs(big.pop(), z2, t)
+                t = rhs[0]
+                tails.append(rhs[:0:-1])
+            if not big:
+                yield tails
+
+
+def kernel_lines(words):
+    """One line per gathered strand: the word, k, prefix, block, the step
+    count S, and ``reached`` (or "-" when nothing trips) at budgets 0-12,
+    S - 1 and S.  S is found by bisection on ``max_steps``."""
+
+    def trips(w, k, budget):
+        try:
+            gather_strand(w, k, max_steps=budget)
+        except StepBudgetExceeded as exc:
+            return exc.reached
+        return None
+
+    for w in words:
+        cur = free_reduce(w)
+        k = max(map(abs, cur.letters), default=0) + 1
+        while k > 2:
+            prefix, block = gather_strand(cur, k)
+            lo, hi = -1, 1
+            while trips(cur, k, hi) is not None:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if trips(cur, k, mid) is not None else (lo, mid)
+            reached = []
+            for budget in sorted({*range(13), max(hi - 1, 0), hi}):
+                r = trips(cur, k, budget)
+                text = "-" if r is None else " ".join(map(str, r.letters))
+                reached.append(f"{budget}:{text}")
+            yield f"{cur} {k} | {prefix} | {block} | {hi} | {' / '.join(reached)}"
+            cur = prefix
+            k = max(map(abs, cur.letters), default=0) + 1
 
 
 def step_words(w, k, limit=300):
@@ -145,12 +223,6 @@ class TestGatherStrand:
         # re-testing it, and puts the letters each pattern leaves behind
         # straight back on the big run without testing them either: both
         # hold for every stuck configuration in B9
-        def is_big(p, t):
-            return p in (abs(t), abs(t) + 1)
-
-        def move(p, t):
-            return abs(t) if p == abs(t) + 1 else abs(t) + 1
-
         gens = [i * s for i in range(1, 9) for s in (1, -1)]
         stuck = []
         for p in range(1, 10):
@@ -178,6 +250,82 @@ class TestGatherStrand:
             if gathering.pattern_rhs(*triple) is not None
         }
         assert fires == set(stuck)
+
+    def test_replacements_cancel_only_where_tails_meet(self):
+        # every replacement is freely reduced, its second letter is adjacent
+        # to its first, and its last shares the generator of the big letter
+        # b it replaces: so a letter that commutes past the new bubbling
+        # letter never cancels the tail collected before it, nor one that
+        # commutes past the old bubbling letter the tail collected after it,
+        # and a bubble's leftovers can cancel only where two tails meet
+        gens = [i * s for i in range(1, 9) for s in (1, -1)]
+        configurations = [
+            (a, b, c)
+            for a, b, c in itertools.product(gens, repeat=3)
+            if abs(c) == 4 and gathering.pattern_rhs(a, b, c) is not None
+        ]
+        assert len(configurations) == 24
+        for a, b, c in configurations:
+            _, rhs = gathering.pattern_rhs(a, b, c)
+            assert reduce_letters(rhs) == rhs
+            assert abs(abs(rhs[1]) - abs(rhs[0])) == 1
+            assert abs(rhs[-1]) == abs(b)
+            for x in gens:
+                if abs(abs(x) - abs(rhs[0])) != 1:
+                    assert x != -rhs[1], (a, b, c, x)
+                if abs(abs(x) - abs(c)) != 1:
+                    assert x != -rhs[-1], (a, b, c, x)
+
+    def test_junctions_cancel_one_pair_each(self):
+        # over every run of up to four consecutive pattern steps, each
+        # junction where a tail's first letter cancels the letter before it
+        # cancels that one pair and no more; but a two-letter tail can lose
+        # both letters to its neighbours, so tails further apart meet, and no
+        # finite check bounds the depth: gather_strand keeps a general loop
+        runs = {m: list(pattern_runs(m)) for m in (1, 2, 3, 4)}
+        assert [len(runs[m]) for m in runs] == [24, 72, 216, 648]
+        cancelling = Counter(a[-1] == -b[0] for a, b in runs[2])
+        assert cancelling == {True: 48, False: 24}
+        emptied = Counter(
+            len(b) for a, b, c in runs[3] if a[-1] == -b[0] and b[-1] == -c[0]
+        )
+        assert emptied == {2: 36, 4: 48, 6: 16}
+        for m in (2, 3, 4):
+            for tails in runs[m]:
+                left = [x for tail in tails for x in tail]
+                cut = set()
+                n = len(tails[0])
+                for tail in tails[1:]:
+                    if left[n - 1] == -tail[0]:
+                        cut |= {n - 1, n}
+                    n += len(tail)
+                kept = tuple(x for pos, x in enumerate(left) if pos not in cut)
+                assert reduce_letters(left) == kept, tails
+
+    def test_bubble_cancelling_at_two_junctions(self):
+        # the last letter bubbles through the big run by three patterns,
+        # I4, I1 and I2, whose tails, as collected, are 1 2 2 -1 -1 -2, then
+        # 2 -1, then 1 2: both junctions cancel, and the middle tail with them
+        w = word(3, [2, 2, 1, -2, 1, -2])
+        assert gather_strand(w, 3) == (word(3), word(3, [2, -1, -1, 2, 2, 1]))
+
+    def test_kernel_pinned(self):
+        """Prefix, block, step count and ``reached`` at budgets 0-12, S - 1
+        and S of every strand gathered from seeded B3-B8 and B64 words and the
+        blow-up family (3 3 2 2 1 1 2 2)^p, p = 1-5, pinned by sha256."""
+        rng = random.Random(18)
+        words = [
+            random_word(n, rng.randrange(1, 25), rng)
+            for n in (3, 4, 5, 6, 7, 8)
+            for _ in range(40)
+        ]
+        words += [random_word(64, rng.randrange(20, 120), rng) for _ in range(6)]
+        words += [BraidWord(4, (3, 3, 2, 2, 1, 1, 2, 2) * p) for p in range(1, 6)]
+        lines = list(kernel_lines(words))
+        assert len(lines) == 847
+        assert sum(int(line.split(" | ")[3]) for line in lines) == 95670
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "13a918f31c1af1b0bb5f737654f6bcb3098e616997ff3f073fbc8964d0c4058c"
 
     def test_letter_of_the_gathered_strand_rejected(self):
         # x3 would move strand 3 to position 4, past the block being gathered
