@@ -35,6 +35,8 @@ import click
 # int() alone would also take "1_0", non-ASCII digits and a sign inside "r,s"
 _LETTER = re.compile(r"[+-]?[0-9]+")
 _CROSSING = re.compile(r"(-?)([0-9]+),([0-9]+)")
+# float() alone would also take "0.2_5", non-ASCII digits, "inf" and "nan"
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 class _Decimal(click.IntRange):
@@ -199,8 +201,10 @@ def cmd_residue(strands, strategy_text, max_steps, crossing_text):
 @click.option("--pretty", is_flag=True)
 def cmd_random(strands, stop_text, seed, pretty):
     """Sample a random braid, printed in normal form."""
-    stop = tuple(float(tok) for tok in stop_text.split(",") if tok.strip())
-    params = RandomParams(strands, stop, seed)
+    stop = tuple(tok.strip() for tok in stop_text.split(",") if tok.strip())
+    if not all(map(_DECIMAL.fullmatch, stop)):
+        raise ValueError(f"cannot parse --stop {stop_text!r}: expected decimal numbers")
+    params = RandomParams(strands, tuple(map(float, stop)), seed)
     click.echo(format_word(nf_to_word(random_braid(params)), pretty=pretty))
 
 

@@ -14,7 +14,8 @@ word is already in this form is ``crossings.is_normal_form``.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, islice
+from operator import length_hint
 
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 from .patterns import pattern_rhs
@@ -30,33 +31,42 @@ def gather_strand(
     block only big ones.  ``w`` must be freely reduced and use only x_1 ..
     x_{k-1}; a letter x_j with j >= k raises ValueError.
 
-    Each letter is read once, left to right, while strand k's position, the
-    small prefix and the big run are kept incrementally.  A small letter
-    that meets the big run bubbles left through all of it: a distant big
-    letter commutes past it, and an adjacent one is rewritten with the big
-    letter before it by ``pattern_rhs`` (memoized per call), whose first
-    letter is small and bubbles on while the rest is big.  Later steps keep
-    the permutation before them, so what a bubble leaves behind is still big
-    and goes straight onto the emptied run, with free cancellation only.
-    That cancellation can start only where a pattern's tail meets the letter
-    before it: the run and each replacement are freely reduced, and a
-    replacement's second letter is adjacent to its first, so a letter that
-    commutes past the new bubbling letter never cancels the tail beside it.
-    Those junctions are noted as the tails are collected; a bubble with none
-    goes back at C speed, and ``_reduce_at`` cancels only at the others.
-    Each commutation or pattern is one step; with ``max_steps`` = s, a
-    budget trip's ``reached`` is the word after step s.
+    Strand k is first crossed by the first x_{k-1}, so the letters before it
+    go to the prefix by one slice.  Each later letter is read once, while
+    strand k's position, the small prefix and the big run are kept
+    incrementally.  A small letter that meets a nonempty big run bubbles
+    left through all of it in one pass: a distant big letter commutes past
+    it, and an adjacent one is rewritten with the big letter before it by
+    ``pattern_rhs`` (memoized per call), whose first letter is small and
+    bubbles on while the rest is big.  Later steps keep the permutation
+    before them, so what a bubble leaves behind is still big and becomes the
+    run, with free cancellation only.  That cancellation can start only where
+    a pattern's tail meets the letter before it: the run and each
+    replacement are freely reduced, and a replacement's second letter is
+    adjacent to its first, so a letter that commutes past the new bubbling
+    letter never cancels the tail beside it.  Those junctions are noted as
+    the tails are collected; a bubble with none goes back at C speed, and
+    ``_reduce_at`` cancels only at the others.  Each commutation or pattern
+    is one step, counted once per bubble as letters read minus patterns; the
+    pass is cut short only when the budget left is shorter than the run.
+    With ``max_steps`` = s, a budget trip's ``reached`` is the word after
+    step s.  Every output letter comes from ``w`` or from ``pattern_rhs``,
+    which reuses its inputs' generators, so the outputs skip the range check.
     """
-    top = max(map(abs, w.letters), default=0)
+    letters = w.letters
+    gens = list(map(abs, letters))
+    top = max(gens, default=0)
     if top >= k:
         raise ValueError(f"gathering strand {k} needs letters below x{k}, got x{top}")
-    small: list[int] = []
+    first = gens.index(k - 1) if top == k - 1 else len(gens)
+    small = list(letters[:first])
     big: list[int] = []
     pos = k
     rules: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
     steps = 0
-    for j, t in enumerate(w.letters):
-        i = abs(t)
+    for j in range(first, len(letters)):
+        t = letters[j]
+        i = gens[j]
         if pos == i or pos == i + 1:
             if big and big[-1] == -t:
                 big.pop()
@@ -66,45 +76,54 @@ def gather_strand(
             # move the popped letter made
             pos = i if pos == i + 1 else i + 1
             continue
-        # t is small, so strand k stays put; what t leaves behind collects on
-        # left, and cuts holds where a tail's first letter cancels the one
-        # before it
-        left: list[int] = []
-        cuts: list[int] = []
-        while big:
-            if steps >= max_steps:
-                reached = (*small, *big, t, *left[::-1], *w.letters[j + 1 :])
+        if big:
+            # t is small, so strand k stays put; what t leaves behind collects
+            # on left, and cuts holds where a tail's first letter cancels the
+            # one before it
+            left: list[int] = []
+            cuts: list[int] = []
+            patterns = 0
+            room = max_steps - steps
+            run = reversed(big)
+            # islice rejects a negative bound, which a negative budget gives
+            for z2 in run if room >= len(big) else islice(run, max(room, 0)):
+                if abs(abs(z2) - i) != 1:
+                    # distant generators commute: a small letter never shares
+                    # a generator with the big letter before it
+                    left.append(z2)
+                    continue
+                # the run starts with x_{k-1}, which no small letter (x_{k-3}
+                # or lower, with strand k at k-1) is adjacent to, so z1 exists
+                z1 = next(run)
+                key = (z1, z2, t)
+                rule = rules.get(key)
+                if rule is None:
+                    _, rhs = pattern_rhs(z1, z2, t)
+                    rule = rules[key] = (rhs[0], rhs[:0:-1])
+                t, tail = rule
+                i = abs(t)
+                if left and left[-1] == -tail[0]:
+                    cuts.append(len(left))
+                left.extend(tail)
+                patterns += 1
+            if rest := length_hint(run):
+                reached = (*small, *big[:rest], t, *left[::-1], *letters[j + 1 :])
                 raise StepBudgetExceeded(
                     max_steps, f"gathering strand {k}", BraidWord(w.strands, reached)
                 )
-            steps += 1
-            z2 = big.pop()
-            if abs(abs(z2) - i) != 1:
-                # distant generators commute: a small letter never shares a
-                # generator with the big letter before it
-                left.append(z2)
-                continue
-            # the run starts with x_{k-1}, which no small letter (x_{k-3} or
-            # lower, with strand k at k-1) is adjacent to, so z1 exists
-            z1 = big.pop()
-            key = (z1, z2, t)
-            rule = rules.get(key)
-            if rule is None:
-                _, rhs = pattern_rhs(z1, z2, t)
-                rule = rules[key] = (rhs[0], rhs[:0:-1])
-            t, tail = rule
-            i = abs(t)
-            if left and left[-1] == -tail[0]:
-                cuts.append(len(left))
-            left.extend(tail)
+            steps += len(big) - patterns
+            if cuts:
+                left = _reduce_at(left, cuts)
+            left.reverse()
+            big = left
         if small and small[-1] == -t:
             small.pop()
         else:
             small.append(t)
-        if cuts:
-            left = _reduce_at(left, cuts)
-        big.extend(reversed(left))
-    return BraidWord(w.strands, tuple(small)), BraidWord(w.strands, tuple(big))
+    return (
+        BraidWord._trusted(w.strands, tuple(small)),
+        BraidWord._trusted(w.strands, tuple(big)),
+    )
 
 
 def _reduce_at(letters: list[int], cuts: list[int]) -> list[int]:

@@ -73,6 +73,16 @@ class BraidWord(Record):
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", letters)
 
+    @classmethod
+    def _trusted(cls, strands: int, letters: tuple[int, ...]) -> BraidWord:
+        """``BraidWord(strands, letters)`` without the range check, for a
+        tuple of letters known to be in range, such as letters taken from
+        checked words over ``strands``."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "strands", strands)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -114,7 +114,8 @@ class TestTextFormats:
 class TestPlainDecimalsOnly:
     """``int`` alone would read these, in a word, a crossing token, an
     integer option or a strategy seed: underscores, non-ASCII digits,
-    spaces, a doubled sign, or a sign inside a crossing token."""
+    spaces, a doubled sign, or a sign inside a crossing token; and
+    ``float`` these, in a ``--stop`` entry."""
 
     @pytest.mark.parametrize(
         "strands, text", [(20, "1_0"), (4, "+1 ٢"), (4, "１"), (4, "--1"), (4, "+-1")]
@@ -156,6 +157,22 @@ class TestPlainDecimalsOnly:
         assert res.exit_code == 1
         assert res.stdout == ""
         assert res.stderr.startswith(f"bad strategy {strategy!r}")
+
+    @pytest.mark.parametrize(
+        "stop", ["٠.٥,0.5", "0.2_5,0.5", "0.5,１", "inf,0.5", "nan,0.5", "-0.5,0.5", ".5,0.5"]
+    )
+    def test_stop_exits_1(self, runner, stop):
+        # float() reads each of these, and RandomParams takes "0.2_5" and
+        # the Arabic-Indic "٠.٥" as 0.25 and 0.5
+        res = run(runner, "random", "--strands", "3", "--stop", stop)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr == f"cannot parse --stop {stop!r}: expected decimal numbers\n"
+
+    @pytest.mark.parametrize("stop", ["1.0,1", "0.4, 0.4", "0.00003,3e-05", "1E0,0.5e+0"])
+    def test_stop_decimals_read(self, runner, stop):
+        res = run(runner, "random", "--strands", "3", "--stop", stop, "--seed", "2")
+        assert res.exit_code == 0, res.stderr
 
 
 class TestNormalize:

@@ -94,6 +94,10 @@ def kernel_lines(words):
         k = max(map(abs, cur.letters), default=0) + 1
         while k > 2:
             prefix, block = gather_strand(cur, k)
+            # the outputs skip the range check: rebuilt with it, they are equal
+            for out in (prefix, block):
+                assert type(out.letters) is tuple
+                assert out == BraidWord(out.strands, out.letters)
             lo, hi = -1, 1
             while trips(cur, k, hi) is not None:
                 lo, hi = hi, 2 * hi
@@ -108,6 +112,21 @@ def kernel_lines(words):
             yield f"{cur} {k} | {prefix} | {block} | {hi} | {' / '.join(reached)}"
             cur = prefix
             k = max(map(abs, cur.letters), default=0) + 1
+
+
+def budget_lines(w, k):
+    """One line per budget 0 .. S of gathering strand k of ``w``: the
+    ``reached`` word of each trip, then the prefix and block at S."""
+    budget = 0
+    while True:
+        try:
+            prefix, block = gather_strand(w, k, max_steps=budget)
+        except StepBudgetExceeded as exc:
+            yield f"{budget}:{' '.join(map(str, exc.reached.letters))}"
+            budget += 1
+        else:
+            yield f"{budget}:{prefix} | {block}"
+            return
 
 
 def step_words(w, k, limit=300):
@@ -326,6 +345,44 @@ class TestGatherStrand:
         assert sum(int(line.split(" | ")[3]) for line in lines) == 95670
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "13a918f31c1af1b0bb5f737654f6bcb3098e616997ff3f073fbc8964d0c4058c"
+
+    @pytest.mark.parametrize(
+        "w, k, steps, digest",
+        [
+            (
+                BraidWord(4, (3, 3, 2, 2, 1, 1, 2, 2) * 2),
+                4,
+                340,
+                "b5e0f47993016093e366cedf8acccfb7921b1f933c58e34de3bce0b0a03c4244",
+            ),
+            (
+                BraidWord(5, (4,) * 40 + (1,) * 20),
+                5,
+                800,
+                "54cb16ddfab6603465a75267f63115da567d4da4b429615f97dcf8a97d048a83",
+            ),
+            (
+                BraidWord(3, (2,) * 20 + (1,) * 20),
+                3,
+                561,
+                "9f083f7f0769a9c81515e57670e78fa3ad99c333de75fdf0670f462184ac1f8d",
+            ),
+        ],
+    )
+    def test_every_budget_pinned(self, w, k, steps, digest):
+        # a bubble is bounded only when the budget left is shorter than the
+        # run, so a trip can fall anywhere inside a long bubble: ``reached``
+        # at every budget up to the step count, pinned by sha256
+        lines = list(budget_lines(w, k))
+        assert len(lines) == steps + 1
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+    def test_negative_budget_trips_at_the_first_bubble(self):
+        w = BraidWord(4, (3, 3, 2, 2, 1, 1, 2, 2) * 2)
+        with pytest.raises(StepBudgetExceeded) as exc:
+            gather_strand(w, 4, max_steps=-1)
+        assert str(exc.value) == "step budget of -1 exceeded while gathering strand 4"
+        assert exc.value.reached == w
 
     def test_letter_of_the_gathered_strand_rejected(self):
         # x3 would move strand 3 to position 4, past the block being gathered

@@ -156,14 +156,18 @@ class TestRandomBraid:
         nf = random_braid(RandomParams(4, (1.0, 1.0, 1.0), seed=1))
         assert nf_to_word(nf).letters == ()
 
-    @pytest.mark.parametrize("strands", [3, 4, 5])
+    @pytest.mark.parametrize("strands", [3, 4, 5, 8, 64])
     def test_fixed_points_of_gathering(self, strands):
+        # a normal form needs no gathering step on any strand: each strand's
+        # letters before its first crossing are copied, and every later
+        # small letter meets an empty big run
         stop = (0.4,) * (strands - 1)
         for seed in range(80):
             nf = random_braid(RandomParams(strands, stop, seed))
             w = nf_to_word(nf)
             assert is_normal_form(w)
             assert normal_form(w) == nf
+            assert normal_form(w, max_steps=0) == nf
 
     def test_b3_samples_pass_parity(self):
         for seed in range(120):
