@@ -21,6 +21,11 @@ from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 from .patterns import pattern_rhs
 from .words import BraidWord, NormalForm, free_reduce
 
+# (z1, z2, t) -> (rhs[0], rhs[:0:-1]) of pattern_rhs(z1, z2, t), shared by
+# every gather_strand call: adjacent generators p, q admit 12 configurations,
+# so it holds at most 24 entries per generator
+_RULES: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
+
 
 def gather_strand(
     w: BraidWord, k: int, max_steps: int = DEFAULT_STEP_BUDGET
@@ -37,7 +42,7 @@ def gather_strand(
     incrementally.  A small letter that meets a nonempty big run bubbles
     left through all of it in one pass: a distant big letter commutes past
     it, and an adjacent one is rewritten with the big letter before it by
-    ``pattern_rhs`` (memoized per call), whose first letter is small and
+    ``pattern_rhs`` (memoized across calls), whose first letter is small and
     bubbles on while the rest is big.  Later steps keep the permutation
     before them, so what a bubble leaves behind is still big and becomes the
     run, with free cancellation only.  That cancellation can start only where
@@ -62,7 +67,7 @@ def gather_strand(
     small = list(letters[:first])
     big: list[int] = []
     pos = k
-    rules: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
+    rules = _RULES
     steps = 0
     for j in range(first, len(letters)):
         t = letters[j]
@@ -130,16 +135,20 @@ def _reduce_at(letters: list[int], cuts: list[int]) -> list[int]:
     """Freely reduce ``letters``, which can cancel only from the positions
     ``cuts``: copy by slice up to each cut, then cancel while the output's top
     and the next letter are inverse.  A two-letter tail can cancel at both
-    ends, so the cancelling at a cut can reach back past it."""
+    ends, so the cancelling at a cut can reach back past it.  ``letters``
+    gets a 0 appended as a sentinel, which no letter is the inverse of, so
+    the cancelling stops at the end without a bound check."""
+    letters.append(0)
     out: list[int] = []
     s = 0
     for cut in cuts:
-        out += letters[s:cut]
-        s = max(s, cut)
-        while out and s < len(letters) and out[-1] == -letters[s]:
+        if cut > s:
+            out += letters[s:cut]
+            s = cut
+        while out and out[-1] == -letters[s]:
             out.pop()
             s += 1
-    out += letters[s:]
+    out += letters[s:-1]
     return out
 
 
@@ -154,8 +163,9 @@ def normal_form(w: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> NormalFor
     while k > 2:
         cur, blocks[k - 3] = gather_strand(cur, k, max_steps=max_steps)
         k = min(k - 1, max(map(abs, cur.letters), default=0) + 1)
-    # what is left uses x1 only and is freely reduced, hence a single power
-    m = sum(1 if t > 0 else -1 for t in cur.letters)
+    # what is left uses x1 only and is freely reduced, hence a single power:
+    # every letter is 1 or -1
+    m = sum(cur.letters)
     return NormalForm(w.strands, m, tuple(blocks))
 
 

@@ -132,8 +132,10 @@ def free_reduce(w: BraidWord) -> BraidWord:
 
     A single left-to-right pass with a pending-output stack suffices: free
     reduction is confluent, so the result does not depend on deletion order.
+    The letters kept are a subsequence of a checked word's, so they skip the
+    range check.
     """
-    return BraidWord(w.strands, reduce_letters(w.letters))
+    return BraidWord._trusted(w.strands, reduce_letters(w.letters))
 
 
 def inverse(w: BraidWord) -> BraidWord:

@@ -114,6 +114,20 @@ def kernel_lines(words):
             k = max(map(abs, cur.letters), default=0) + 1
 
 
+def kernel_words():
+    """Seeded B3-B8 and B64 words and the blow-up family (3 3 2 2 1 1 2 2)^p,
+    p = 1-5."""
+    rng = random.Random(18)
+    words = [
+        random_word(n, rng.randrange(1, 25), rng)
+        for n in (3, 4, 5, 6, 7, 8)
+        for _ in range(40)
+    ]
+    words += [random_word(64, rng.randrange(20, 120), rng) for _ in range(6)]
+    words += [BraidWord(4, (3, 3, 2, 2, 1, 1, 2, 2) * p) for p in range(1, 6)]
+    return words
+
+
 def budget_lines(w, k):
     """One line per budget 0 .. S of gathering strand k of ``w``: the
     ``reached`` word of each trip, then the prefix and block at S."""
@@ -332,19 +346,29 @@ class TestGatherStrand:
         """Prefix, block, step count and ``reached`` at budgets 0-12, S - 1
         and S of every strand gathered from seeded B3-B8 and B64 words and the
         blow-up family (3 3 2 2 1 1 2 2)^p, p = 1-5, pinned by sha256."""
-        rng = random.Random(18)
-        words = [
-            random_word(n, rng.randrange(1, 25), rng)
-            for n in (3, 4, 5, 6, 7, 8)
-            for _ in range(40)
-        ]
-        words += [random_word(64, rng.randrange(20, 120), rng) for _ in range(6)]
-        words += [BraidWord(4, (3, 3, 2, 2, 1, 1, 2, 2) * p) for p in range(1, 6)]
-        lines = list(kernel_lines(words))
+        lines = list(kernel_lines(kernel_words()))
         assert len(lines) == 847
         assert sum(int(line.split(" | ")[3]) for line in lines) == 95670
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "13a918f31c1af1b0bb5f737654f6bcb3098e616997ff3f073fbc8964d0c4058c"
+
+    def test_shared_memo_audited(self, monkeypatch):
+        # from an empty memo, the pinned kernel words leave in it only
+        # pattern_rhs's own split of each key, at most 24 keys per generator
+        # of the bubbling letter (12 for each adjacent generator of the big
+        # letter); and the kernel reads it, so one wrong entry shows
+        monkeypatch.setattr(gathering, "_RULES", {})
+        words = kernel_words()
+        lines = list(kernel_lines(words))
+        rules = gathering._RULES
+        assert rules
+        for (z1, z2, t), rule in rules.items():
+            _, rhs = gathering.pattern_rhs(z1, z2, t)
+            assert rule == (rhs[0], rhs[:0:-1])
+        assert max(Counter(abs(t) for _, _, t in rules).values()) <= 24
+        key, (t, tail) = next(iter(rules.items()))
+        rules[key] = (-t, tail)
+        assert any(a != b for a, b in zip(kernel_lines(words), lines))
 
     @pytest.mark.parametrize(
         "w, k, steps, digest",
@@ -392,6 +416,8 @@ class TestGatherStrand:
             gather_strand(word(6, [1, -5, 2]), 4)
 
     def test_rules_memoized_and_steps_pinned(self, monkeypatch):
+        # the memo is shared by every call: from an empty one, the first
+        # gather asks pattern_rhs once per configuration and a second never
         w = free_reduce(word(4, (3, 3, 2, 2, 1, 1, 2, 2) * 4))
         calls = []
         real = gathering.pattern_rhs
@@ -400,9 +426,12 @@ class TestGatherStrand:
             calls.append((a, b, c))
             return real(a, b, c)
 
+        monkeypatch.setattr(gathering, "_RULES", {})
         monkeypatch.setattr(gathering, "pattern_rhs", counted)
         prefix, block = gather_strand(w, 4)
         assert len(calls) == len(set(calls)) == 21
+        assert gather_strand(w, 4) == (prefix, block)
+        assert len(calls) == 21
         assert (len(prefix.letters), len(block.letters)) == (24, 5356)
         with pytest.raises(StepBudgetExceeded) as exc:
             gather_strand(w, 4, max_steps=11152)
