@@ -17,12 +17,13 @@ freely reduced and pushes an a-letter onto it only at an odd b-count, so
 every a-letter in ``big`` has an odd number of b-letters below it.  A
 gatherable letter y meets ``big`` only at an even b-count, so its top z2 is
 a b-letter, it holds at least two b-letters, and the letter z1 below z2 is
-an a-letter or z2 itself.  These 2 * 2 * 3 configurations are tabled at
-import in ``_RULES``.  Below z1 z2 the b-count is odd when z1 is an a-letter
-and even when z1 = z2, and the replacement leads with one b-letter in the
-first case and none in the second.  So the a-letter that follows is
-gatherable and bubbles on, and every a-letter of the tail after it has an
-odd b-count before it (a test checks all twelve).  Later steps keep the
+an a-letter or z2 itself.  ``_RELATIONS`` writes the six with y = a as
+relations, and ``_RULES`` tables them at import, each also read with every
+letter inverted for the six with y = A.  Below z1 z2 the b-count is odd when
+z1 is an a-letter and even when z1 = z2, and the replacement leads with one
+b-letter in the first case and none in the second.  So the a-letter that
+follows is gatherable and bubbles on, and every a-letter of the tail after it
+has an odd b-count before it (a test checks all twelve).  Later steps keep the
 b-parity of the letters before a tail, so the tails are still residual when
 the bubble ends and go back onto ``big`` untested.
 """
@@ -34,7 +35,10 @@ from typing import Iterable
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 from .words import BraidWord, Record, reduce_letters
 
-# letters: +1 = a, -1 = a^-1, +2 = b, -2 = b^-1
+# letters: +1 = a, -1 = a^-1, +2 = b, -2 = b^-1; read both ways, letter to
+# code for parse_artin and code to letter for str
+_ALPHABET: dict = {"a": 1, "A": -1, "b": 2, "B": -2}
+_ALPHABET.update({t: ch for ch, t in _ALPHABET.items()})
 
 # permutations of the square's vertices as image tuples, f[v-1] = f(v)
 SquareReflection = tuple[int, int, int, int]
@@ -73,14 +77,13 @@ class ArtinWord(Record):
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join({1: "a", -1: "A", 2: "b", -2: "B"}[t] for t in self.letters)
+        return "".join(_ALPHABET[t] for t in self.letters)
 
 
 def parse_artin(text: str) -> ArtinWord:
     """Parse a compact word like 'abAB' (upper case = inverse)."""
-    table = {"a": 1, "A": -1, "b": 2, "B": -2}
     try:
-        return ArtinWord(tuple(table[ch] for ch in text.strip()))
+        return ArtinWord(tuple(_ALPHABET[ch] for ch in text.strip()))
     except KeyError as exc:
         raise ValueError(f"bad letter {exc.args[0]!r} in Artin word") from None
 
@@ -114,54 +117,30 @@ def reflection_sequence(w: ArtinWord) -> tuple[SquareReflection, ...]:
     return tuple(out)
 
 
-def _artin_rhs(z1: int, z2: int, y: int) -> tuple[int, ...]:
-    """Replacement for a gatherable letter y preceded by z1 z2.
-
-    Defined on the twelve configurations ``gather_steps_a`` meets (see the
-    module docstring): z2 a b-letter, y an a-letter, and z1 an a-letter or z2
-    itself.
-    """
-    sy = 1 if y > 0 else -1
-    if abs(z1) == 2:
-        e = 1 if z2 > 0 else -1
-        d = sy
-        # b^e b^e a^d -> a^d b^d a^d b^e b^e a^-d b^-d
-        return (d, 2 * d, d, 2 * e, 2 * e, -d, -2 * d)
-    al = 1 if z1 > 0 else -1
-    be = 1 if z2 > 0 else -1
-    ga = sy
-    if al == be == ga:
-        e = al
-        # a^e b^e a^e -> b^e a^e b^e a^e b^-e
-        return (2 * e, e, 2 * e, e, -2 * e)
-    if al == ga and be == -al:
-        e = al
-        # a^e b^-e a^e -> b^e a^e b^e a^e a^e b^-e b^-e a^-e b^-e
-        return (2 * e, e, 2 * e, e, e, -2 * e, -2 * e, -e, -2 * e)
-    if be == ga == -al:
-        e = al
-        # a^e b^-e a^-e -> b^-e a^-e b^-e a^e b^e
-        return (-2 * e, -e, -2 * e, e, 2 * e)
-    # remaining pattern: a^-e b^-e a^e
-    e = ga
-    # a^-e b^-e a^e -> b^e a^e b^-e a^-e b^-e
-    return (2 * e, e, -2 * e, -e, -2 * e)
-
-
-def _rule(z1: int, z2: int, y: int) -> tuple[int, int, tuple[int, ...]]:
-    """``_artin_rhs`` split for bubbling: the b-letter it leads with (0 if
+def _rule(rhs: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """A replacement split for bubbling: the b-letter it leads with (0 if
     none), the gatherable letter after it, and the rest reversed."""
-    rhs = _artin_rhs(z1, z2, y)
     if abs(rhs[0]) == 2:
         return rhs[0], rhs[1], rhs[:1:-1]
     return 0, rhs[0], rhs[:0:-1]
 
 
+# the six configurations z1 z2 a of the module docstring, as relations; each
+# also holds with every letter inverted (its case swapped), which gives the
+# six z1 z2 A
+_RELATIONS = {
+    "aba": "babaB",
+    "Aba": "babAB",
+    "bba": "ababbAB",
+    "aBa": "babaaBBAB",
+    "ABa": "baBAB",
+    "BBa": "abaBBAB",
+}
+
 _RULES = {
-    (z1, z2, y): _rule(z1, z2, y)
-    for z2 in (2, -2)
-    for y in (1, -1)
-    for z1 in (1, -1, z2)
+    parse_artin(lhs).letters: _rule(parse_artin(rhs).letters)
+    for relation in _RELATIONS.items()
+    for lhs, rhs in (relation, map(str.swapcase, relation))
 }
 
 

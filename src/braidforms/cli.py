@@ -201,7 +201,8 @@ def cmd_residue(strands, strategy_text, max_steps, crossing_text):
 @click.option("--pretty", is_flag=True)
 def cmd_random(strands, stop_text, seed, pretty):
     """Sample a random braid, printed in normal form."""
-    stop = tuple(tok.strip() for tok in stop_text.split(",") if tok.strip())
+    # a wholly blank list has no entries (B_1 takes none); an empty entry is invalid
+    stop = tuple(tok.strip() for tok in stop_text.split(",")) if stop_text.strip() else ()
     if not all(map(_DECIMAL.fullmatch, stop)):
         raise ValueError(f"cannot parse --stop {stop_text!r}: expected decimal numbers")
     params = RandomParams(strands, tuple(map(float, stop)), seed)

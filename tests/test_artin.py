@@ -323,6 +323,18 @@ class TestNormalizeA:
                 assert odd != bubbles_on, (z1, z2, y, n)
                 assert (reflection == A_BAR) == bubbles_on, (z1, z2, y, n)
 
+    def test_tabled_entries_are_relations(self):
+        """Each entry (z1, z2, y) -> (b, t, tail) of ``_RULES``, read back as
+        the words z1 z2 y and [b] t reversed(tail), is a relation of the
+        group: both words have the same Burau image under ``embed_b3`` and
+        the same image in the quotient group."""
+        assert len(_RULES) == 12
+        for lhs, (b, t, tail) in _RULES.items():
+            left = ArtinWord(lhs)
+            right = ArtinWord(((b,) if b else ()) + (t, *reversed(tail)))
+            assert burau(embed_b3(left)) == burau(embed_b3(right)), (str(left), str(right))
+            assert word_image(left) == word_image(right), (str(left), str(right))
+
     @pytest.mark.parametrize(
         "seed, steps, digest",
         [

@@ -159,11 +159,16 @@ class TestPlainDecimalsOnly:
         assert res.stderr.startswith(f"bad strategy {strategy!r}")
 
     @pytest.mark.parametrize(
-        "stop", ["٠.٥,0.5", "0.2_5,0.5", "0.5,１", "inf,0.5", "nan,0.5", "-0.5,0.5", ".5,0.5"]
+        "stop",
+        [
+            "٠.٥,0.5", "0.2_5,0.5", "0.5,１", "inf,0.5", "nan,0.5", "-0.5,0.5", ".5,0.5",
+            "0.4,,0.4", ",0.4,0.4", "0.4,0.4,", "0.4, ,0.4",
+        ],
     )
     def test_stop_exits_1(self, runner, stop):
-        # float() reads each of these, and RandomParams takes "0.2_5" and
-        # the Arabic-Indic "٠.٥" as 0.25 and 0.5
+        # float() reads each of the first seven, and RandomParams takes
+        # "0.2_5" and the Arabic-Indic "٠.٥" as 0.25 and 0.5; the last four
+        # hold an empty entry, which is no decimal number either
         res = run(runner, "random", "--strands", "3", "--stop", stop)
         assert res.exit_code == 1
         assert res.stdout == ""
@@ -276,6 +281,11 @@ class TestRandom:
     def test_bad_stop_list(self, runner):
         res = run(runner, "random", "--strands", "3", "--stop", "0.4")
         assert res.exit_code == 1
+
+    def test_blank_stop_lists_no_entries(self, runner):
+        res = run(runner, "random", "--strands", "1", "--stop", "")
+        assert res.exit_code == 0, res.stderr
+        assert res.output.strip() == ""
 
 
 class TestEqual:
