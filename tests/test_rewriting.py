@@ -28,6 +28,7 @@ from braidforms.oracle import burau, check_rule_instance, random_word
 from braidforms.rewriting import EXCEEDED, _match_pair, _match_triple, _splice
 
 from .test_crossings import sequence
+from .test_values import fresh
 
 
 def apply_site(c, site):
@@ -239,7 +240,12 @@ class TestResidue:
         "strategy", [LEFTMOST, RIGHTMOST, Strategy("random", 0)], ids=lambda s: s.kind
     )
     def test_matcher_work_per_rewrite_is_bounded(self, strategy, monkeypatch):
-        """Each rewrite rematches a window of at most 9 sites, not the sequence."""
+        """Each rewrite rematches a window of at most 9 sites, not the sequence.
+
+        Every rematched position counts, whether the window memo holds it or
+        not: the run from an empty memo and the run after it, from a warm one,
+        are each bounded.
+        """
         c = sequence(3, [(2, 3, 1)] + [(1, 3, 1)] * 200 + [(1, 3, -1)] * 200)
         calls = [0]
         match_at = rewriting._match_at
@@ -248,10 +254,14 @@ class TestResidue:
             calls[0] += 1
             return match_at(items, p)
 
+        monkeypatch.setattr(rewriting, "_WINDOWS", {})
         monkeypatch.setattr(rewriting, "_match_at", counted)
-        assert residue(c, strategy) == sequence(3, [(2, 3, 1)])
-        # one scan, then 200 cancellations
-        assert calls[0] <= len(c) + 9 * 200
+        for memo in ("cold", "warm"):
+            calls[0] = 0
+            assert residue(c, strategy) == sequence(3, [(2, 3, 1)])
+            # one scan, then 200 cancellations
+            assert calls[0] <= len(c) + 9 * 200, memo
+        assert rewriting._WINDOWS
 
     @pytest.mark.parametrize("strands", [3, 4])
     def test_agreement_with_gathering(self, strands, word_pool):
@@ -259,6 +269,84 @@ class TestResidue:
             lhs = residue(word_to_crossings(w))
             rhs = word_to_crossings(nf_to_word(normal_form(w)))
             assert lhs == rhs
+
+
+def match_fresh(u, v, w):
+    """The rule the matchers give for the window ``u v w``, with no memo."""
+    rule = _match_pair(u, v)
+    if rule is None and u.high == v.high and w is not None:
+        rule = _match_triple(u, v, w)
+    return rule
+
+
+class TestWindowMemo:
+    STRATEGIES = [LEFTMOST, RIGHTMOST] + [Strategy("random", s) for s in range(3)]
+
+    @pytest.fixture
+    def seeded(self):
+        """Seeded B3-B5 sequences under each strategy."""
+        return [
+            (c, strategy)
+            for strands in (3, 4, 5)
+            for c in random_sequences(strands, 20, 14, seed=60 + strands)
+            for strategy in self.STRATEGIES
+        ]
+
+    def test_entries_are_the_matchers_results(self, seeded, monkeypatch):
+        monkeypatch.setattr(rewriting, "_WINDOWS", {})
+        for c, strategy in seeded:
+            residue(c, strategy)
+        windows = rewriting._WINDOWS
+        assert len(windows) > 100
+        assert None in windows.values()
+        for key, rule in windows.items():
+            assert rule == match_fresh(*key)
+
+    def test_memo_is_read(self, seeded, monkeypatch):
+        monkeypatch.setattr(rewriting, "_WINDOWS", {})
+        base = [residue(c, strategy) for c, strategy in seeded]
+        windows = rewriting._WINDOWS
+        key = next(k for k, rule in windows.items() if rule is not None)
+        windows[key] = None
+        assert any(residue(c, strategy) != r for (c, strategy), r in zip(seeded, base))
+
+    def test_memo_stays_within_its_cap(self, seeded, monkeypatch):
+        monkeypatch.setattr(rewriting, "_WINDOWS", {})
+        base = [residue(c, strategy) for c, strategy in seeded]
+        monkeypatch.setattr(rewriting, "_WINDOWS", {})
+        monkeypatch.setattr(rewriting, "_WINDOWS_CAP", 10)
+        for (c, strategy), r in zip(seeded, base):
+            assert residue(c, strategy) == r
+            assert len(rewriting._WINDOWS) <= 10
+        assert len(rewriting._WINDOWS) == 10
+
+    def test_import_leaves_memo_empty(self):
+        code = "from braidforms import rewriting\nprint(len(rewriting._WINDOWS))"
+        assert fresh(code) == "0"
+
+
+class TestCriticalPair:
+    def test_com_critical_pair_splits(self):
+        """Read as a string rewriting system, the rules are not locally confluent.
+
+        ``-2,5 -3,4 -1,2`` has COM sites at 0 and 1, and they lead to two
+        different irreducible sequences.  Confluence of ``residue`` is not
+        broken, because the sequence is not valid from the identity
+        arrangement: strands 2 and 5 are not adjacent there, so no braid word
+        traces it and ``residue`` rejects it.
+        """
+        c = sequence(5, [(2, 5, -1), (3, 4, -1), (1, 2, -1)])
+        assert not validate(c)
+        with pytest.raises(ValueError):
+            residue(c)
+        sites = applicable_sites(c.items)
+        assert [(s.position, s.rule.template) for s in sites] == [(0, "COM"), (1, "COM")]
+        ends = [_splice(c.items, s.position, s.rule) for s in sites]
+        assert ends == [
+            sequence(5, [(3, 4, -1), (2, 5, -1), (1, 2, -1)]).items,
+            sequence(5, [(2, 5, -1), (1, 2, -1), (3, 4, -1)]).items,
+        ]
+        assert [applicable_sites(e) for e in ends] == [[], []]
 
 
 class TestMaxChainLength:
