@@ -24,8 +24,8 @@ z1 is an a-letter and even when z1 = z2, and the replacement leads with one
 b-letter in the first case and none in the second.  So the a-letter that
 follows is gatherable and bubbles on, and every a-letter of the tail after it
 has an odd b-count before it (a test checks all twelve).  Later steps keep the
-b-parity of the letters before a tail, so the tails are still residual when
-the bubble ends and go back onto ``big`` untested.
+b-parity of the letters before a tail, so the tails stay residual and are laid
+back onto ``big`` as they land, cancelling only.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class ArtinWord(Record):
     def __init__(self, letters: Iterable[int] = ()):
         letters = tuple(letters)
         for t in letters:
-            if abs(t) not in (1, 2):
-                raise ValueError(f"bad letter {t}; expected +-1 or +-2")
+            if type(t) is not int or abs(t) not in (1, 2):
+                raise ValueError(f"bad letter {t!r}; expected +-1 or +-2")
         object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
@@ -144,30 +144,24 @@ _RULES = {
 }
 
 
-def gather_steps_a(w: ArtinWord):
-    """Gather the gatherable letters of ``w`` to the front in one pass.
+def gather_steps_a(w: ArtinWord, max_steps: int, small: list, big: list):
+    """Gather the gatherable letters of ``w`` into the empty lists ``small``
+    and ``big`` in one pass, yielding the key ``(z1, z2, t)`` before each
+    step; a step past ``max_steps`` raises ``StepBudgetExceeded``.
 
-    Letters move from ``pending`` onto ``small`` (gathered) or ``big``
-    (residual), cancelling against the top of the stack, as in
-    ``gathering.gather_strand``.  A gatherable letter ``t`` that meets ``big``
-    bubbles left through all of it: each step replaces ``t`` and ``big``'s
-    last two letters by their ``_RULES`` entry, pushes the entry's b-letter
-    onto ``big``, carries on with its gatherable letter and leaves the tail
-    on ``pending``; the tails are residual, so when the bubble ends they go
-    straight back onto the emptied ``big``, cancelling only.
-    Yields ``(small, big, t, pending)`` before each step, one yield per step;
-    the word is then ``small + big + [t] + reversed(pending)``, and once the
-    generator is spent ``small + big`` is the gathered word.  The stacks are
-    live: read them before resuming.  Letters cancel as they are pushed, not
-    over the whole word after each step, so the step count can differ from
-    that of a globally reducing loop; the result cannot.
+    Each reduced letter of ``w`` is read once onto ``small`` (gathered) or
+    ``big`` (residual), cancelling against the top.  A gatherable letter t
+    that meets ``big`` bubbles through it by index, leaving it intact: a step
+    replaces z1 z2 t by the ``_RULES`` entry of its key, whose b-letter is
+    the next z2 or cancels the letter below.  Each residual tail is laid onto
+    ``left`` as it lands, cancelling at its first letters only, and ``big``
+    becomes ``reversed(left)``.  So the step count can differ from that of a
+    loop that reduces the whole word after each step; the result cannot.
     """
-    small: list[int] = []
-    big: list[int] = []
-    pending = list(reversed(reduce_letters(w.letters)))
+    letters = reduce_letters(w.letters)
+    budget = max_steps
     odd = False  # an odd number of b-letters in big; small holds a-letters only
-    while pending:
-        t = pending.pop()
+    for k, t in enumerate(letters):
         if odd or abs(t) == 2:
             if big and big[-1] == -t:
                 big.pop()
@@ -176,42 +170,48 @@ def gather_steps_a(w: ArtinWord):
             # a b-letter flips the parity whether it is pushed or cancelled
             odd ^= abs(t) == 2
             continue
-        # big's b-count stays even through the bubble, so odd stays False
-        mark = len(pending)
-        while big:
-            yield small, big, t, pending
-            z2 = big.pop()
-            z1 = big.pop()
-            b, t, tail = _RULES[z1, z2, t]
-            if b:
-                if big and big[-1] == -b:
-                    big.pop()
-                else:
-                    big.append(b)
-            pending.extend(tail)
+        # big's b-count stays even through the bubble, so odd stays False and
+        # a carried b-letter has a letter below it; left's 0 cancels nothing
+        i, b, left, start, first = len(big), 0, [0], budget, t
+        while i and budget > 0:
+            budget -= 1
+            i -= 1 if b else 2
+            key = big[i], b or big[i + 1], t
+            yield key
+            b, t, tail = _RULES[key]
+            if b and big[i - 1] == -b:
+                i, b = i - 1, 0
+            j = 0  # no tail cancels whole: a test checks every reachable case
+            while left[-1] == -tail[j]:
+                left.pop()
+                j += 1
+            left += tail[j:]
+        if i:  # out of budget: reached keeps this bubble's tails uncancelled, so walk it again
+            i, b, t, back = len(big), 0, first, []
+            for _ in range(start - budget):
+                i -= 1 if b else 2
+                b, t, tail = _RULES[big[i], b or big[i + 1], t]
+                if b and big[i - 1] == -b:
+                    i, b = i - 1, 0
+                back += tail
+            reached = (*small, *big[:i], *(b,)[: b != 0], t, *back[::-1], *letters[k + 1 :])
+            raise StepBudgetExceeded(max_steps, "normalizing Artin word", ArtinWord(reached))
         if small and small[-1] == -t:
             small.pop()
         else:
             small.append(t)
-        big.extend(reduce_letters(reversed(pending[mark:])))
-        del pending[mark:]
+        big[:] = left[:0:-1]
 
 
 def normalize_a(w: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> ArtinNormalForm:
     """Gather the 1-3 reflection letters to the front as a power of a, in at
-    most ``max_steps`` gathering transformations.
-
-    A budget trip's ``reached`` is the word after step ``max_steps``.
-    """
-    stacks = ((), reduce_letters(w.letters))  # the result if no step is needed
-    for steps, stacks in enumerate(gather_steps_a(w)):
-        if steps >= max_steps:
-            small, big, t, pending = stacks
-            reached = ArtinWord(tuple(small + big + [t] + pending[::-1]))
-            raise StepBudgetExceeded(max_steps, "normalizing Artin word", reached)
-    letters = tuple(stacks[0]) + tuple(stacks[1])
-    cut = next((i for i, t in enumerate(letters) if abs(t) == 2), len(letters))
-    return ArtinNormalForm(sum(letters[:cut]), ArtinWord(letters[cut:]))
+    most ``max_steps`` gathering transformations; a budget trip's ``reached``
+    is the word after step ``max_steps``."""
+    small: list[int] = []
+    big: list[int] = []  # starts with a b-letter: its a-letters have odd b-counts
+    for _ in gather_steps_a(w, max_steps, small, big):
+        pass
+    return ArtinNormalForm(sum(small), ArtinWord(tuple(big)))
 
 
 def embed_b3(w: ArtinWord) -> BraidWord:

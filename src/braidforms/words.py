@@ -67,8 +67,11 @@ class BraidWord(Record):
         if strands < 1:
             raise ValueError(f"strand count must be >= 1, got {strands}")
         letters = tuple(letters)
+        top = strands - 1
         for t in letters:
-            if t == 0 or abs(t) > strands - 1:
+            if type(t) is not int:  # bool too: True would pass as the letter 1
+                raise ValueError(f"letter {t!r} is not an integer")
+            if t == 0 or abs(t) > top:
                 raise ValueError(f"letter {t} out of range for {strands} strands")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", letters)

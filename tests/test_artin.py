@@ -27,7 +27,7 @@ from braidforms.artin import (
     invert,
     word_image,
 )
-from braidforms.errors import StepBudgetExceeded
+from braidforms.errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
 from braidforms.oracle import burau
 from braidforms.words import concat, inverse, reduce_letters
 
@@ -72,10 +72,54 @@ def as_word(nf: ArtinNormalForm) -> ArtinWord:
     return ArtinWord(lead + nf.w1.letters)
 
 
+def keys(w, max_steps=DEFAULT_STEP_BUDGET):
+    """The keys ``gather_steps_a`` yields, one per step."""
+    return list(gather_steps_a(w, max_steps, [], []))
+
+
+def reference_steps(w):
+    """A reference for ``gather_steps_a``: the same steps as plain stack moves
+    on the whole word.  Letters move from ``pending`` onto ``small`` or
+    ``big``; a bubble pops z1 z2 off ``big``, pushes the entry's b-letter
+    back and leaves each tail on ``pending``, and the tails go back onto
+    ``big`` only when the bubble ends.  Yields the word before each step,
+    ``small + big + [t] + reversed(pending)``, and the step's key."""
+    small: list = []
+    big: list = []
+    pending = list(reversed(reduce_letters(w.letters)))
+    odd = False
+    while pending:
+        t = pending.pop()
+        if odd or abs(t) == 2:
+            if big and big[-1] == -t:
+                big.pop()
+            else:
+                big.append(t)
+            odd ^= abs(t) == 2
+            continue
+        mark = len(pending)
+        while big:
+            yield ArtinWord(tuple(small + big + [t] + pending[::-1])), (big[-2], big[-1], t)
+            z2 = big.pop()
+            z1 = big.pop()
+            b, t, tail = _RULES[z1, z2, t]
+            if b:
+                if big and big[-1] == -b:
+                    big.pop()
+                else:
+                    big.append(b)
+            pending.extend(tail)
+        if small and small[-1] == -t:
+            small.pop()
+        else:
+            small.append(t)
+        big.extend(reduce_letters(reversed(pending[mark:])))
+        del pending[mark:]
+
+
 def step_words(w):
-    """The word before each gathering step, built from the yielded stacks."""
-    for small, big, t, pending in gather_steps_a(w):
-        yield ArtinWord(tuple(small + big + [t] + pending[::-1]))
+    """The word before each gathering step, from the reference."""
+    return [word for word, _ in reference_steps(w)]
 
 
 def reduced_words(max_len):
@@ -111,6 +155,13 @@ class TestParsing:
     def test_letter_range(self):
         with pytest.raises(ValueError):
             ArtinWord((3,))
+
+    @pytest.mark.parametrize("letters", [(1.0, True, 2), (True,), (1, -2.0)])
+    def test_letters_must_be_ints(self, letters):
+        # abs(1.0) and abs(True) are 1, so only the type check stops them
+        bad = next(t for t in letters if type(t) is not int)
+        with pytest.raises(ValueError, match=f"bad letter {bad!r}"):
+            ArtinWord(letters)
 
 
 class TestQuotientGroup:
@@ -211,12 +262,16 @@ class TestNormalizeA:
         assert (nf.m, str(nf.w1)) == (1, "")
 
     def test_every_step_preserves_element(self):
+        """The reference's word before each step is the input in the group,
+        and the kernel takes the reference's steps, key by key."""
         rng = random.Random(18)
         for _ in range(25):
             w = rand_artin(rng)
             reference = burau(embed_b3(w))
             image = word_image(w)
-            for step in step_words(w):
+            steps = list(reference_steps(w))
+            assert keys(w) == [key for _, key in steps]
+            for step, _ in steps:
                 assert burau(embed_b3(step)) == reference
                 assert word_image(step) == image
 
@@ -253,16 +308,21 @@ class TestNormalizeA:
             assert equal_a(v, w)
 
     def test_budget_counts_transformations(self):
+        """The number of yields is the least budget that does not trip."""
         w = parse_artin("bba")
-        steps = sum(1 for _ in gather_steps_a(w))
-        assert steps > 0
+        assert len(keys(w)) > 0
         with pytest.raises(StepBudgetExceeded):
             normalize_a(w, max_steps=0)
-        for w in long_words(25, count=3):
-            steps = sum(1 for _ in gather_steps_a(w))
-            with pytest.raises(StepBudgetExceeded):
-                normalize_a(w, max_steps=steps - 1)
+        rng = random.Random(29)
+        pool = [rand_artin(rng, max_len=40) for _ in range(150)]
+        assert sum(1 for w in pool if keys(w)) > 100
+        for w in pool + long_words(25, count=3):
+            steps = len(keys(w))
+            assert len(keys(w, steps)) == steps
             assert normalize_a(w, max_steps=steps) == normalize_a(w)
+            if steps:
+                with pytest.raises(StepBudgetExceeded):
+                    normalize_a(w, max_steps=steps - 1)
 
     def test_budget_trip_reaches_the_word_after_max_steps_steps(self):
         """With ``max_steps`` = s, a trip stops before step s + 1: ``reached``
@@ -271,7 +331,7 @@ class TestNormalizeA:
             normalize_a(parse_artin("bbaAabba"), max_steps=0)
         assert exc.value.reached == parse_artin("bbabba")
         for w in (parse_artin("bbabba"), *long_words(26, count=2)):
-            words = list(step_words(w))
+            words = step_words(w)
             for s in (*range(min(len(words), 25)), len(words) - 1):
                 with pytest.raises(StepBudgetExceeded) as exc:
                     normalize_a(w, max_steps=s)
@@ -280,21 +340,100 @@ class TestNormalizeA:
                     f"step budget of {s} exceeded while normalizing Artin word"
                 )
 
+    @pytest.mark.parametrize(
+        "text, steps, digest",
+        [
+            ("AAbbAbaBAAbaBBBa", 25,
+             "1eb1ee59adea93d206332293c2c665a29fc3aa144a312054bfbb965828d7c4bd"),
+            ("bbabba", 5, "a61d49fa9e8009b564335e009b2ae7304f1e7f316d8252b90080f9a7b5de41ae"),
+            ("aabAB" * 4, 63,
+             "76e9239e30f8a3a01c07bd6ce0d047306aa455b8056077f98bd767b7f71681c7"),
+        ],
+        ids=["AAbbAbaBAAbaBBBa", "bbabba", "aabAB^4"],
+    )
+    def test_every_budget_pinned(self, text, steps, digest):
+        # a trip can fall anywhere inside a bubble, whose tails have not yet
+        # cancelled: ``reached`` and the message at every budget up to the
+        # step count, then the form, pinned by sha256
+        w = parse_artin(text)
+        lines = []
+        for budget in range(steps + 1):
+            try:
+                nf = normalize_a(w, max_steps=budget)
+            except StepBudgetExceeded as exc:
+                lines.append(f"{budget}:{exc.reached} {exc}")
+            else:
+                lines.append(f"{budget}:{nf.m} {nf.w1}")
+        assert len(keys(w)) == steps
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+    def test_negative_budget_trips_at_the_first_step(self):
+        for text, reached in (("bba", "bba"), ("bbaAabba", "bbabba")):
+            with pytest.raises(StepBudgetExceeded) as exc:
+                normalize_a(parse_artin(text), max_steps=-1)
+            assert str(exc.value) == "step budget of -1 exceeded while normalizing Artin word"
+            assert exc.value.reached == parse_artin(reached)
+        for text in ("ab", "abab"):  # no step is needed, so no budget is spent
+            assert normalize_a(parse_artin(text), max_steps=-1) == normalize_a(parse_artin(text))
+
+    def test_no_tail_cancels_whole(self):
+        """``gather_steps_a`` cancels a landing tail against ``left`` only at
+        the tail's first letters and reads no further than its last one.  A
+        search over every bubble through any freely reduced ``big`` shows
+        that no tail cancels whole.  A state is the letter bubbling, the
+        b-letter carried, the last letter of ``big`` read and the top
+        ``depth`` letters of ``left``, below a ``None`` once cut; no
+        cancellation reaches the cut."""
+        depth = 8
+        letters = (1, -1, 2, -2)
+        start = [(t, 0, 0, ()) for t in (1, -1)]
+        seen, todo, most = set(start), list(start), 0
+        while todo:
+            t, b, last, left = todo.pop()
+            # the next letters of a freely reduced big: z1, under a carried
+            # b-letter it did not cancel, or z1 z2
+            if b:
+                reads = [(z1, b) for z1 in letters if z1 not in (-last, -b)]
+            else:
+                reads = [(z1, z2) for z2 in letters if z2 != -last for z1 in letters if z1 != -z2]
+            for z1, z2 in reads:
+                if (z1, z2, t) not in _RULES:
+                    continue
+                nb, nt, tail = _RULES[z1, z2, t]
+                j = 0
+                while j < len(tail) and j < len(left) and left[-1 - j] == -tail[j]:
+                    j += 1
+                assert j < len(tail), (z1, z2, t, left)
+                assert j == len(left) or left[-1 - j] is not None, (z1, z2, t, left)
+                most = max(most, j)
+                rest = left[: len(left) - j] + tail[j:]
+                if len(rest) > depth:
+                    rest = (None, *rest[-depth:])
+                # the entry's b-letter is carried, or cancels the next letter of big
+                nexts = [(nt, nb, z1, rest)] if nb else [(nt, 0, z1, rest)]
+                if nb and nb != z1:
+                    nexts.append((nt, 0, -nb, rest))
+                for state in nexts:
+                    if state not in seen:
+                        seen.add(state)
+                        todo.append(state)
+        assert most == 3
+
     def test_short_words_meet_the_twelve_tabled_configurations(self):
         """On every reduced word of at most 8 letters, the steps meet exactly
         the twelve configurations z1 z2 y of the module docstring: z2 = b^+-1,
         y = a^+-1 and z1 in {a, A, z2}.  The forms and step counts are pinned
-        by the sha256 of one line per word."""
+        by the sha256 of one line per word.  The kernel yields the keys of
+        the reference's steps."""
         tabled = {(z1, z2, y) for z2 in (2, -2) for y in (1, -1) for z1 in (1, -1, z2)}
         met = set()
         lines = []
         for w in reduced_words(8):
-            steps = 0
-            for small, big, t, pending in gather_steps_a(w):
-                met.add((big[-2], big[-1], t))
-                steps += 1
+            steps = keys(w)
+            assert steps == [key for _, key in reference_steps(w)]
+            met.update(steps)
             nf = normalize_a(w)
-            lines.append(f"{w} {nf.m} {nf.w1} {steps}")
+            lines.append(f"{w} {nf.m} {nf.w1} {len(steps)}")
         assert met == tabled
         assert len(lines) == 13121
         assert sum(int(line.rsplit(" ", 1)[1]) for line in lines) == 46282
@@ -303,7 +442,7 @@ class TestNormalizeA:
 
     def test_tabled_tails_are_residual(self):
         """Every a-letter an entry of ``_RULES`` leaves behind is residual, so
-        ``gather_steps_a`` puts the tails back on ``big`` untested.  Below
+        ``gather_steps_a`` lays the tails back onto ``big`` untested.  Below
         z1 z2, ``big``'s b-parity is odd when z1 is an a-letter and even when
         z1 = z2; counting on through the entry, each a-letter of the tail has
         an odd number of b-letters before it, and the letter that bubbles on
@@ -350,7 +489,7 @@ class TestNormalizeA:
         changes what one step is must fail here: the step count of each long
         word, and the sha256 of the lines "m w1" of their normal forms."""
         words = long_words(seed)
-        assert [sum(1 for _ in gather_steps_a(w)) for w in words] == steps
+        assert [len(keys(w)) for w in words] == steps
         forms = "\n".join(f"{nf.m} {nf.w1}" for nf in map(normalize_a, words))
         assert hashlib.sha256(forms.encode()).hexdigest() == digest
 

@@ -37,6 +37,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BraidWord(0, ())
 
+    @pytest.mark.parametrize("letters", [(1.5, 2), (True, 2, True), (1, 2.0), ("1",)])
+    def test_letters_must_be_ints(self, letters):
+        # 1.5 and True compare and take abs() like ints, so only the type
+        # check stops them: normal_form would read 1.5 as an exponent
+        bad = next(t for t in letters if type(t) is not int)
+        with pytest.raises(ValueError, match=f"letter {bad!r} is not an integer"):
+            BraidWord(3, letters)
+
     def test_value_semantics(self):
         assert word(4, [1, -2]) == word(4, (1, -2))
         assert word(4, [1]) != word(4, [2])
