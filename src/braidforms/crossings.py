@@ -39,6 +39,10 @@ class CrossingSequence(Record):
     items: tuple[Crossing, ...]
 
     def __init__(self, strands: int, items: Iterable[Crossing] = ()):
+        if type(strands) is not int:  # bool too
+            raise ValueError(f"strand count {strands!r} is not an integer")
+        if strands < 1:
+            raise ValueError(f"strand count must be >= 1, got {strands}")
         items = tuple(items)
         for c in items:
             if not (1 <= c.low < c.high <= strands):
@@ -47,6 +51,15 @@ class CrossingSequence(Record):
                 raise ValueError(f"bad sign in crossing {c}")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "items", items)
+
+    @classmethod
+    def _trusted(cls, strands: int, items: tuple[Crossing, ...]) -> CrossingSequence:
+        """``CrossingSequence(strands, items)`` without the checks, for a tuple
+        of crossings known to be in range, such as a checked word's trace."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "strands", strands)
+        object.__setattr__(c, "items", items)
+        return c
 
     def __len__(self) -> int:
         return len(self.items)
@@ -75,38 +88,48 @@ def word_to_crossings(w: BraidWord) -> CrossingSequence:
     arr = list(range(1, w.strands + 1))
     items = []
     for t in w.letters:
-        i = abs(t) - 1
+        sign = 1 if t > 0 else -1
+        i = t * sign - 1
         r, s = arr[i], arr[i + 1]
-        items.append(crossing(r, s, 1 if t > 0 else -1))
-        arr[i], arr[i + 1] = arr[i + 1], arr[i]
-    return CrossingSequence(w.strands, tuple(items))
+        items.append(Crossing(r, s, sign) if r < s else Crossing(s, r, sign))
+        arr[i], arr[i + 1] = s, r
+    return CrossingSequence._trusted(w.strands, tuple(items))
 
 
-def crossings_to_word(c: CrossingSequence) -> BraidWord:
-    """Recover the braid word, or raise InvalidCrossing.
+def _trace(c: CrossingSequence) -> list[int]:
+    """The letter of each crossing, or raise InvalidCrossing.
 
     Each crossing requires its two strands to occupy adjacent positions at its
-    point in the trace; the emitted letter is the position of the lower one.
+    point in the trace; its letter is the position of the lower one.
     """
     at = list(range(c.strands + 1))  # at[s]: the position of strand s
     letters = []
-    for pos, item in enumerate(c.items, start=1):
-        p, q = at[item.low], at[item.high]
-        if abs(p - q) != 1:
-            raise InvalidCrossing(pos, item)
-        letters.append(min(p, q) * item.sign)
-        at[item.low], at[item.high] = q, p
-    return BraidWord(c.strands, tuple(letters))
+    for pos, (low, high, sign) in enumerate(c.items, start=1):
+        p, q = at[low], at[high]
+        if p - q == 1:
+            letters.append(q * sign)
+        elif q - p == 1:
+            letters.append(p * sign)
+        else:
+            raise InvalidCrossing(pos, c.items[pos - 1])
+        at[low], at[high] = q, p
+    return letters
+
+
+def crossings_to_word(c: CrossingSequence) -> BraidWord:
+    """Recover the braid word, or raise InvalidCrossing.  Its letters are
+    positions below another strand, in range, so it skips the check."""
+    return BraidWord._trusted(c.strands, tuple(_trace(c)))
 
 
 def validate(c: CrossingSequence) -> bool:
     """True iff ``c`` is the crossing sequence of some braid word.
 
-    Runs the single path through the arrangement automaton incrementally;
-    the full automaton (N! states) is never materialized here.
+    Runs the single path through the arrangement automaton incrementally,
+    building no word; the full automaton (N! states) is never materialized.
     """
     try:
-        crossings_to_word(c)
+        _trace(c)
     except InvalidCrossing:
         return False
     return True

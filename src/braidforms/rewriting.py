@@ -23,11 +23,11 @@ rewrite at ``p`` can only change the sites that start in
 A rule reads only the two or three crossings that start at its position, so
 the match at ``p`` is a function of the window
 ``(items[p], items[p + 1], items[p + 2])``, the third ``None`` at the end of
-the sequence.  ``_match_at`` keeps one process-wide dict from each window to
-the rule it found, or ``None``, shared by ``residue``, ``applicable_sites``
-and ``max_chain_length``.  It stores entries only while it holds fewer than
-2^14, which covers every window of B3-B5 (20 crossings, so
-20^3 + 20^2 = 8,400 windows); past that a miss is matched and not stored.
+the sequence.  One process-wide dict maps each window to its rule, or
+``None``.  ``applicable_sites`` (so ``residue`` and ``max_chain_length``)
+reads it inline, and only a miss calls the matchers, whose result is stored
+while the dict holds fewer than 2^14 entries: every window of B3-B5 (20
+crossings, so 20^3 + 20^2 = 8,400 windows) fits.
 
 COM is needed: without it, residues differ on 23 of 40 seeded B4 sequences.
 """
@@ -144,26 +144,18 @@ def _match_triple(u: Crossing, v: Crossing, w: Crossing) -> RewriteRule | None:
     return RewriteRule(rule.template, 3, rhs)
 
 
-# ``_match_at``'s window -> rule memo, bounded by ``_WINDOWS_CAP``; see the
-# module docstring.
+# The window -> rule memo, bounded by ``_WINDOWS_CAP``; see the docstring.
 _WINDOWS: dict[tuple[Crossing, Crossing, Crossing | None], RewriteRule | None] = {}
 _WINDOWS_CAP = 1 << 14
 _MISS = object()
 
 
-def _match_at(items: Sequence[Crossing], p: int) -> RewriteRule | None:
-    """The rule at ``p``; at most one matches.
+def _match_window(key: tuple[Crossing, Crossing, Crossing | None]) -> RewriteRule | None:
+    """The rule at a window missing from the memo; at most one matches.
 
     D needs a crossing and its inverse, which start no freely reduced pattern
     of ``pattern_rhs``; COM needs ``u.high != v.high``, where I1-I4 need equality.
     """
-    n = len(items)
-    if p + 1 >= n:
-        return None
-    key = (items[p], items[p + 1], items[p + 2] if p + 2 < n else None)
-    rule = _WINDOWS.get(key, _MISS)
-    if rule is not _MISS:
-        return rule
     u, v, w = key
     rule = _match_pair(u, v)
     if rule is None and u.high == v.high and w is not None:
@@ -178,8 +170,13 @@ def applicable_sites(
 ) -> list[RewriteSite]:
     """The matching sites that start in ``[start, stop)``, in position order."""
     sites = []
-    for p in range(start, len(items) if stop is None else stop):
-        rule = _match_at(items, p)
+    windows = _WINDOWS
+    last = len(items) - 2  # the last position a site can start at, a pair
+    for p in range(start, last + 1 if stop is None else min(stop, last + 1)):
+        key = (items[p], items[p + 1], items[p + 2] if p < last else None)
+        rule = windows.get(key, _MISS)
+        if rule is _MISS:
+            rule = _match_window(key)
         if rule is not None:
             sites.append(RewriteSite(p, rule))
     return sites
@@ -220,38 +217,34 @@ def residue(
     rules: list[RewriteRule | None] = [None] * len(items)
     tags = [_NO_SITE] * len(items)
     pending: dict[int, int] = {}  # tag -> number of sites with that tag
-
-    def note(sites: list[RewriteSite]) -> None:
-        for site in sites:
-            p, rule = site.position, site.rule
-            tag = _D if rule.template == "D" else items[p].high
-            rules[p], tags[p] = rule, tag
-            pending[tag] = pending.get(tag, 0) + 1
-
-    note(applicable_sites(items))
-    # Leftmost scans rightward and rightmost leftward, each from ``cursor``:
-    # a leftmost pick leaves no eligible site before its window, and a
-    # rightmost pick none after it, so the next scan starts at the window's
-    # near end, until the top strand falls and a lower strand's reorderings
-    # become eligible.
+    sites = applicable_sites(items)
+    # Leftmost scans rightward and rightmost leftward, from ``cursor``: a
+    # leftmost pick leaves no eligible site before its window, nor a rightmost
+    # pick after it, so the next scan starts at the window's near end, until
+    # the top strand falls and a lower strand's reorderings become eligible.
     stride = -1 if strategy.kind == "rightmost" else 1
     cursor = 0 if stride > 0 else len(items) - 1
     steps = top = 0
-    while pending:
+    while True:
+        for p, rule in sites:
+            tag = _D if rule is _CANCEL else items[p].high
+            rules[p], tags[p] = rule, tag
+            pending[tag] = pending.get(tag, 0) + 1
+        if not pending:
+            return CrossingSequence._trusted(c.strands, tuple(items))
         if steps >= max_steps:
-            reached = CrossingSequence(c.strands, tuple(items))
+            reached = CrossingSequence._trusted(c.strands, tuple(items))
             raise StepBudgetExceeded(max_steps, "computing residue", reached)
         last, top = top, max(pending)
         if top < last:
             cursor = 0 if stride > 0 else len(items) - 1
-        wanted = {_D, top}
         if rng is None:
             p = cursor
-            while tags[p] not in wanted:
+            while tags[p] != top and tags[p] != _D:
                 p += stride
         else:
             total = pending.get(_D, 0) + (pending[top] if top != _D else 0)
-            eligible = compress(count(), map(wanted.__contains__, tags))
+            eligible = compress(count(), map((top, _D).__contains__, tags))
             p = next(islice(eligible, rng.randrange(total), None))
         rule = rules[p]
         lo, end = max(p - 2, 0), p + rule.length
@@ -264,10 +257,9 @@ def residue(
         fresh = p + len(rule.replacement) - lo
         rules[lo:end] = [None] * fresh
         tags[lo:end] = [_NO_SITE] * fresh
-        note(applicable_sites(items, lo, lo + fresh))
+        sites = applicable_sites(items, lo, lo + fresh)
         cursor = lo if stride > 0 else lo + fresh - 1
         steps += 1
-    return CrossingSequence(c.strands, tuple(items))
 
 
 EXCEEDED = "exceeded"

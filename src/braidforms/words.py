@@ -64,6 +64,8 @@ class BraidWord(Record):
     letters: tuple[int, ...]
 
     def __init__(self, strands: int, letters: Iterable[int] = ()):
+        if type(strands) is not int:  # bool too, as for letters below
+            raise ValueError(f"strand count {strands!r} is not an integer")
         if strands < 1:
             raise ValueError(f"strand count must be >= 1, got {strands}")
         letters = tuple(letters)

@@ -59,6 +59,22 @@ class TestCrossingValue:
         with pytest.raises(ValueError):
             CrossingSequence(3, (crossing(1, 4),))
 
+    @pytest.mark.parametrize("strands", [3.5, 3.0, True, "3"])
+    def test_strand_count_must_be_int(self, strands):
+        with pytest.raises(ValueError, match=f"strand count {strands!r} is not an integer"):
+            CrossingSequence(strands, (Crossing(1, 2, 1),))
+
+    @pytest.mark.parametrize("strands", [0, -1])
+    def test_strand_count_at_least_one(self, strands):
+        # the word of an empty sequence skips BraidWord's check, so it is made here
+        with pytest.raises(ValueError, match=f"strand count must be >= 1, got {strands}"):
+            CrossingSequence(strands)
+
+    def test_single_strand_round_trip(self):
+        c = CrossingSequence(1)
+        assert crossings_to_word(c) == BraidWord(1)
+        assert word_to_crossings(BraidWord(1)) == c
+
     @pytest.mark.parametrize("sign", [0, 2, -2])
     def test_sequence_sign_checked(self, sign):
         # Crossing itself does not check, unlike crossing()

@@ -1,5 +1,6 @@
 """Crossing-level rewriting: termination, confluence, agreement with gathering."""
 
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -7,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from braidforms import (
+    BraidWord,
     LEFTMOST,
     RIGHTMOST,
     StepBudgetExceeded,
@@ -23,7 +25,7 @@ from braidforms import (
     word_to_crossings,
 )
 from braidforms import rewriting
-from braidforms.crossings import CrossingSequence, crossing
+from braidforms.crossings import Crossing, CrossingSequence, crossing
 from braidforms.oracle import burau, check_rule_instance, random_word
 from braidforms.rewriting import EXCEEDED, _match_pair, _match_triple, _splice
 
@@ -80,6 +82,66 @@ def random_sequences(strands, count, max_len, seed):
         word_to_crossings(random_word(strands, rng.randrange(1, max_len + 1), rng))
         for _ in range(count)
     ]
+
+
+def checked(out):
+    """``out``, a sequence or word that may skip the range check, after
+    asserting that it has tuple items and equals its checked rebuild."""
+    if isinstance(out, CrossingSequence):
+        assert type(out.items) is tuple
+        assert all(type(x) is Crossing for x in out.items)
+        assert out == CrossingSequence(out.strands, out.items)
+    else:
+        assert type(out.letters) is tuple
+        assert out == BraidWord(out.strands, out.letters)
+    return out
+
+
+def residue_lines(sequences, strategies):
+    """One line per sequence and strategy: the sequence, the strategy, the
+    residue, the step count S, and ``reached`` (or "-" when nothing trips)
+    at budgets 0-12, S - 1 and S.  S is found by bisection on ``max_steps``."""
+
+    def trips(c, strategy, budget):
+        try:
+            residue(c, strategy, max_steps=budget)
+        except StepBudgetExceeded as exc:
+            return checked(exc.reached)
+        return None
+
+    def text(c):
+        return " ".join(f"{x.sign * x.low},{x.high}" for x in c.items)
+
+    for c in sequences:
+        checked(crossings_to_word(checked(c)))
+        for strategy in strategies:
+            r = checked(residue(c, strategy))
+            checked(crossings_to_word(r))
+            lo, hi = -1, 1
+            while trips(c, strategy, hi) is not None:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if trips(c, strategy, mid) is not None else (lo, mid)
+            reached = []
+            for budget in sorted({*range(13), max(hi - 1, 0), hi}):
+                trip = trips(c, strategy, budget)
+                reached.append("-" if trip is None else text(trip))
+            yield " | ".join(
+                [text(c), f"{strategy.kind}:{strategy.seed}", text(r), str(hi), *reached]
+            )
+
+
+def residue_sequences():
+    """Seeded B3-B8 sequences and the crossings of (3 3 2 2 1 1 2 2)^3."""
+    rng = random.Random(31)
+    words = [
+        random_word(n, rng.randrange(1, 20), rng)
+        for n in (3, 4, 5, 6, 7, 8)
+        for _ in range(12)
+    ]
+    words.append(word(4, (3, 3, 2, 2, 1, 1, 2, 2) * 3))
+    return [checked(word_to_crossings(w)) for w in words]
 
 
 class TestStrategy:
@@ -222,6 +284,17 @@ class TestResidue:
         assert validate(reached)
         assert burau(crossings_to_word(reached)) == burau(w)
 
+    def test_residue_pinned(self):
+        """Residue, step count and ``reached`` at budgets 0-12, S - 1 and S of
+        seeded B3-B8 sequences and the crossings of (3 3 2 2 1 1 2 2)^3 under
+        leftmost, rightmost and random:0-2, pinned by sha256."""
+        strategies = [LEFTMOST, RIGHTMOST] + [Strategy("random", s) for s in range(3)]
+        lines = list(residue_lines(residue_sequences(), strategies))
+        assert len(lines) == 365
+        assert sum(int(line.split(" | ")[3]) for line in lines) == 21460
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "7c5a88bbc4d4df0172e213d93fe713fc03522b695eb813766cc7de989e76c7cd"
+
     @pytest.mark.parametrize("strands", [3, 4, 5])
     def test_chain_matches_full_rescan(self, strands):
         """The site table gives the chain that rescanning every step gives."""
@@ -243,24 +316,26 @@ class TestResidue:
         """Each rewrite rematches a window of at most 9 sites, not the sequence.
 
         Every rematched position counts, whether the window memo holds it or
-        not: the run from an empty memo and the run after it, from a warm one,
-        are each bounded.
+        not, so the positions of each ``applicable_sites`` call are summed: the
+        run from an empty memo and the run after it, from a warm one, are each
+        bounded.
         """
         c = sequence(3, [(2, 3, 1)] + [(1, 3, 1)] * 200 + [(1, 3, -1)] * 200)
-        calls = [0]
-        match_at = rewriting._match_at
+        scans = []  # the positions each applicable_sites call matches
+        sites = rewriting.applicable_sites
 
-        def counted(items, p):
-            calls[0] += 1
-            return match_at(items, p)
+        def counted(items, start=0, stop=None):
+            scans.append((len(items) if stop is None else stop) - start)
+            return sites(items, start, stop)
 
         monkeypatch.setattr(rewriting, "_WINDOWS", {})
-        monkeypatch.setattr(rewriting, "_match_at", counted)
+        monkeypatch.setattr(rewriting, "applicable_sites", counted)
         for memo in ("cold", "warm"):
-            calls[0] = 0
+            scans.clear()
             assert residue(c, strategy) == sequence(3, [(2, 3, 1)])
-            # one scan, then 200 cancellations
-            assert calls[0] <= len(c) + 9 * 200, memo
+            # one scan of the sequence, then one window per cancellation
+            assert scans[0] == len(c) and len(scans) == 201, memo
+            assert sum(scans) <= len(c) + 9 * 200, memo
         assert rewriting._WINDOWS
 
     @pytest.mark.parametrize("strands", [3, 4])

@@ -37,6 +37,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BraidWord(0, ())
 
+    @pytest.mark.parametrize("strands", [3.5, 3.0, True, "3"])
+    def test_strand_count_must_be_int(self, strands):
+        # 3.5 would construct and break normal_form with a TypeError; True would be 1
+        with pytest.raises(ValueError, match=f"strand count {strands!r} is not an integer"):
+            BraidWord(strands, (1, 2))
+
     @pytest.mark.parametrize("letters", [(1.5, 2), (True, 2, True), (1, 2.0), ("1",)])
     def test_letters_must_be_ints(self, letters):
         # 1.5 and True compare and take abs() like ints, so only the type
