@@ -71,7 +71,7 @@ class ArtinWord(Record):
         for t in letters:
             if type(t) is not int or abs(t) not in (1, 2):
                 raise ValueError(f"bad letter {t!r}; expected +-1 or +-2")
-        object.__setattr__(self, "letters", letters)
+        super().__init__(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -94,8 +94,7 @@ class ArtinNormalForm(Record):
     w1: ArtinWord
 
     def __init__(self, m: int, w1: ArtinWord):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "w1", w1)
+        super().__init__(m, w1)
 
 
 def word_image(w: ArtinWord) -> SquareReflection:
@@ -211,7 +210,7 @@ def normalize_a(w: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> ArtinNorm
     big: list[int] = []  # starts with a b-letter: its a-letters have odd b-counts
     for _ in gather_steps_a(w, max_steps, small, big):
         pass
-    return ArtinNormalForm(sum(small), ArtinWord(tuple(big)))
+    return ArtinNormalForm(sum(small), ArtinWord._trusted(tuple(big)))
 
 
 def embed_b3(w: ArtinWord) -> BraidWord:

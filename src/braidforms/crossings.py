@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .words import BraidWord, Record, identity_arrangement
+from .words import BraidWord, Record, check_strands, identity_arrangement
 
 
 class Crossing(NamedTuple):
@@ -26,6 +26,8 @@ class Crossing(NamedTuple):
 
 def crossing(a: int, b: int, sign: int = 1) -> Crossing:
     """Build a crossing from an unordered strand pair."""
+    if not (type(a) is type(b) is type(sign) is int):  # bool too: True is 1
+        raise ValueError(f"crossing ({a!r}, {b!r}, {sign!r}) has a field that is not an integer")
     if a == b:
         raise ValueError(f"crossing needs two distinct strands, got {a}, {b}")
     if sign not in (1, -1):
@@ -39,27 +41,17 @@ class CrossingSequence(Record):
     items: tuple[Crossing, ...]
 
     def __init__(self, strands: int, items: Iterable[Crossing] = ()):
-        if type(strands) is not int:  # bool too
-            raise ValueError(f"strand count {strands!r} is not an integer")
-        if strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {strands}")
+        check_strands(strands)
         items = tuple(items)
         for c in items:
-            if not (1 <= c.low < c.high <= strands):
+            low, high, sign = c
+            if not (type(low) is type(high) is type(sign) is int):  # bool too: True is 1
+                raise ValueError(f"crossing {c} has a field that is not an integer")
+            if not (1 <= low < high <= strands):
                 raise ValueError(f"crossing {c} out of range for {strands} strands")
-            if c.sign not in (1, -1):
+            if sign not in (1, -1):
                 raise ValueError(f"bad sign in crossing {c}")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "items", items)
-
-    @classmethod
-    def _trusted(cls, strands: int, items: tuple[Crossing, ...]) -> CrossingSequence:
-        """``CrossingSequence(strands, items)`` without the checks, for a tuple
-        of crossings known to be in range, such as a checked word's trace."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "strands", strands)
-        object.__setattr__(c, "items", items)
-        return c
+        super().__init__(strands, items)
 
     def __len__(self) -> int:
         return len(self.items)

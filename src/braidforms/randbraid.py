@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .words import BraidWord, NormalForm, Record
+from .words import BraidWord, NormalForm, Record, check_strands
 
 
 class RandomParams(Record):
@@ -24,10 +24,9 @@ class RandomParams(Record):
     seed: int
 
     def __init__(self, strands: int, stop: Iterable[float], seed: int = 0):
+        check_strands(strands)
         stop = tuple(stop)
-        if strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {strands}")
-        expected = max(strands - 1, 0)
+        expected = strands - 1
         if len(stop) != expected:
             raise ValueError(
                 f"need {expected} stopping probabilities for {strands} strands, "
@@ -36,9 +35,7 @@ class RandomParams(Record):
         for s in stop:
             if not 0.0 < s <= 1.0:
                 raise ValueError(f"stopping probability {s} not in (0, 1]")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(strands, stop, seed)
 
 
 def random_power(s: float, rng: random.Random) -> int:

@@ -55,9 +55,7 @@ class RewriteRule(Record):
     replacement: tuple[Crossing, ...]
 
     def __init__(self, template: str, length: int, replacement: tuple[Crossing, ...]):
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "replacement", replacement)
+        super().__init__(template, length, replacement)
 
 
 class RewriteSite(NamedTuple):
@@ -82,8 +80,7 @@ class Strategy(Record):
             raise ValueError(f"unknown strategy kind {kind!r}")
         if kind == "random" and seed is None:
             raise ValueError("random strategy needs a seed")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(kind, seed)
 
 
 LEFTMOST = Strategy("leftmost")

@@ -15,8 +15,9 @@ from typing import Iterable
 class Record:
     """Base of the immutable value types: a fixed tuple of named fields.
 
-    A subclass names its fields, in constructor order, in ``__slots__`` and
-    sets them in its own ``__init__`` with ``object.__setattr__``.  Two
+    A subclass names its fields, in constructor order, in ``__slots__``; its
+    own ``__init__`` checks its arguments and passes the fields on to
+    ``Record.__init__``, and ``_trusted`` builds one without the checks.  Two
     records are equal only if they are of the same class with equal field
     tuples; the hash is the field tuple's; ``repr`` reads
     ``Name(field=value, ...)``; assigning a field raises ``AttributeError``;
@@ -29,6 +30,22 @@ class Record:
         get = attrgetter(*cls.__slots__)
         # attrgetter of a single name returns the value, not a 1-tuple
         cls._key = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+        # each slot's member-descriptor setter, which bypasses __setattr__ below
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def __init__(self, *fields):
+        for put, value in zip(self._setters, fields):
+            put(self, value)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """``cls(*fields)`` without the subclass's checks, for fields known
+        to pass them, such as letters taken from checked words."""
+        r = object.__new__(cls)
+        # __init__'s loop inline: calling it costs a third more per record
+        for put, value in zip(cls._setters, fields):
+            put(r, value)
+        return r
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -52,6 +69,15 @@ class Record:
         return type(self), self._key(self)
 
 
+def check_strands(strands: int) -> None:
+    """Raise ValueError unless ``strands`` is an ``int`` (not a ``bool``,
+    which would pass as 1) of at least 1."""
+    if type(strands) is not int:
+        raise ValueError(f"strand count {strands!r} is not an integer")
+    if strands < 1:
+        raise ValueError(f"strand count must be >= 1, got {strands}")
+
+
 class BraidWord(Record):
     """A word in the braid group on ``strands`` strands.
 
@@ -64,10 +90,7 @@ class BraidWord(Record):
     letters: tuple[int, ...]
 
     def __init__(self, strands: int, letters: Iterable[int] = ()):
-        if type(strands) is not int:  # bool too, as for letters below
-            raise ValueError(f"strand count {strands!r} is not an integer")
-        if strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {strands}")
+        check_strands(strands)
         letters = tuple(letters)
         top = strands - 1
         for t in letters:
@@ -75,18 +98,7 @@ class BraidWord(Record):
                 raise ValueError(f"letter {t!r} is not an integer")
             if t == 0 or abs(t) > top:
                 raise ValueError(f"letter {t} out of range for {strands} strands")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
-
-    @classmethod
-    def _trusted(cls, strands: int, letters: tuple[int, ...]) -> BraidWord:
-        """``BraidWord(strands, letters)`` without the range check, for a
-        tuple of letters known to be in range, such as letters taken from
-        checked words over ``strands``."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "strands", strands)
-        object.__setattr__(w, "letters", letters)
-        return w
+        super().__init__(strands, letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -110,9 +122,7 @@ class NormalForm(Record):
     blocks: tuple[BraidWord, ...]
 
     def __init__(self, strands: int, m: int, blocks: tuple[BraidWord, ...] = ()):
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", blocks)
+        super().__init__(strands, m, blocks)
 
     def block(self, k: int) -> BraidWord:
         """Block w_k for 3 <= k <= strands."""

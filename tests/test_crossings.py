@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -52,6 +53,12 @@ class TestCrossingValue:
         with pytest.raises(ValueError):
             crossing(1, 2, 0)
 
+    @pytest.mark.parametrize("args", [(1.0, 2), (1, 2.0), (1, 2, True), (True, 2)])
+    def test_fields_must_be_int(self, args):
+        # crossing(1.0, 2) would give Crossing(low=1.0, ...), True the sign +1
+        with pytest.raises(ValueError, match="has a field that is not an integer"):
+            crossing(*args)
+
     def test_inverse(self):
         assert crossing(1, 3).inverse() == Crossing(1, 3, -1)
 
@@ -74,6 +81,16 @@ class TestCrossingValue:
         c = CrossingSequence(1)
         assert crossings_to_word(c) == BraidWord(1)
         assert word_to_crossings(BraidWord(1)) == c
+
+    @pytest.mark.parametrize(
+        "item", [Crossing(1.0, 2, 1), Crossing(1, 2.0, 1), Crossing(1, 2, True), Crossing(1, 2, 1.0)]
+    )
+    def test_sequence_field_types_checked(self, item):
+        # 1.0 and True pass the range and sign checks like 1, and
+        # crossings_to_word would then index a list with 1.0
+        message = f"crossing {item} has a field that is not an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CrossingSequence(3, (item,))
 
     @pytest.mark.parametrize("sign", [0, 2, -2])
     def test_sequence_sign_checked(self, sign):

@@ -36,6 +36,13 @@ class TestParams:
         with pytest.raises(ValueError):
             RandomParams(0, ())
 
+    @pytest.mark.parametrize("strands, stop", [(2.0, (0.5,)), (True, ()), (3.5, (0.5, 0.5))])
+    def test_strand_count_must_be_int(self, strands, stop):
+        # 2.0 would break random_braid with a TypeError, True would give
+        # NormalForm(strands=True, ...) and 3.5 would ask for 2.5 probabilities
+        with pytest.raises(ValueError, match=f"strand count {strands!r} is not an integer"):
+            RandomParams(strands, stop)
+
 
 class TestRandomPower:
     def test_stop_probability_validated(self):

@@ -100,6 +100,15 @@ class TestValueSemantics:
                 setattr(value, name, None)
         assert repr(value) == text
 
+    def test_trusted_builds_the_same_value(self, value, fields, text):
+        other = type(value)._trusted(*fields)
+        assert other == value
+        assert hash(other) == hash(value)
+        assert repr(other) == text
+        for name in FIELD_NAMES[type(value)]:
+            with pytest.raises(AttributeError):
+                setattr(other, name, None)
+
     @pytest.mark.parametrize("clone", CLONES)
     def test_round_trips(self, value, fields, text, clone):
         other = clone(value)
