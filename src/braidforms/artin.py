@@ -26,6 +26,16 @@ follows is gatherable and bubbles on, and every a-letter of the tail after it
 has an odd b-count before it (a test checks all twelve).  Later steps keep the
 b-parity of the letters before a tail, so the tails stay residual and are laid
 back onto ``big`` as they land, cancelling only.
+
+A bubble is a finite-state transduction of the run: its state is the carried
+b-letter and the letter bubbling.  So ``_GROUPS`` memoizes the steps it takes
+through the ``_WINDOW`` = 6 run letters below it, process-wide, by state and
+window: at most 6 * (1 + 4 + ... + 4^6) = 32,766 keys.
+
+Worst case, found by exhaustive search over the reduced words of at most 9
+letters (a test repeats it), not proved: n >= 2 letters take at most
+(n-2)(3n-7)/2 steps, reached only by bb a^(n-2) and BB A^(n-2) when n >= 4;
+for n >= 3 the form has at most 7n-14 letters, only from (bb|BB)(a|A)^(n-2).
 """
 
 from __future__ import annotations
@@ -143,6 +153,33 @@ _RULES = {
 }
 
 
+_WINDOW = 6
+_GROUPS: dict = {}  # (carried b-letter, bubbling letter, *window) -> group
+
+
+def _group(key: tuple) -> tuple:
+    """The steps a bubble in state ``key[:2]`` takes through the window
+    ``key[2:]`` of the run below it, one ``_RULES`` step at a time while
+    every letter a step reads lies in the window: their keys, the letters
+    used, the new state and their tails, concatenated and freely reduced."""
+    b, t, *run = key
+    shared = {k: k for k in _RULES}
+    i, keys, tails = len(run), [], []
+    while i > (b == 0):  # z1 under a carried b-letter, else z1 z2
+        j = i - (1 if b else 2)
+        step = shared[run[j], b or run[j + 1], t]
+        nb, nt, tail = _RULES[step]
+        if nb and not j:  # the new b-letter meets the letter below the window
+            break
+        keys.append(step)
+        i, b, t = j, nb, nt
+        if b and run[j - 1] == -b:
+            i, b = j - 1, 0
+        tails += tail
+    _GROUPS[key] = group = (tuple(keys), len(run) - i, b, t, reduce_letters(tails))
+    return group
+
+
 def gather_steps_a(w: ArtinWord, max_steps: int, small: list, big: list):
     """Gather the gatherable letters of ``w`` into the empty lists ``small``
     and ``big`` in one pass, yielding the key ``(z1, z2, t)`` before each
@@ -152,13 +189,16 @@ def gather_steps_a(w: ArtinWord, max_steps: int, small: list, big: list):
     ``big`` (residual), cancelling against the top.  A gatherable letter t
     that meets ``big`` bubbles through it by index, leaving it intact: a step
     replaces z1 z2 t by the ``_RULES`` entry of its key, whose b-letter is
-    the next z2 or cancels the letter below.  Each residual tail is laid onto
-    ``left`` as it lands, cancelling at its first letters only, and ``big``
-    becomes ``reversed(left)``.  So the step count can differ from that of a
-    loop that reduces the whole word after each step; the result cannot.
+    the next z2 or cancels the letter below.  The bubble advances a group of
+    steps at a time, memoized in ``_GROUPS`` by its state and the
+    ``_WINDOW`` run letters below it.  Each group's reduced tail is laid
+    onto ``left`` as it lands, cancelling at its first letters only, and
+    ``big`` becomes ``reversed(left)``.  So the step count can differ from
+    that of a loop that reduces the whole word after each step; the result
+    cannot.
     """
     letters = reduce_letters(w.letters)
-    budget = max_steps
+    budget = max(max_steps, 0)
     odd = False  # an odd number of b-letters in big; small holds a-letters only
     for k, t in enumerate(letters):
         if odd or abs(t) == 2:
@@ -172,29 +212,29 @@ def gather_steps_a(w: ArtinWord, max_steps: int, small: list, big: list):
         # big's b-count stays even through the bubble, so odd stays False and
         # a carried b-letter has a letter below it; left's 0 cancels nothing
         i, b, left, start, first = len(big), 0, [0], budget, t
-        while i and budget > 0:
-            budget -= 1
-            i -= 1 if b else 2
-            key = big[i], b or big[i + 1], t
-            yield key
-            b, t, tail = _RULES[key]
-            if b and big[i - 1] == -b:
-                i, b = i - 1, 0
-            j = 0  # no tail cancels whole: a test checks every reachable case
-            while left[-1] == -tail[j]:
+        while i > 0:
+            key = (b, t, *big[i - _WINDOW : i]) if i > _WINDOW else (b, t, *big[:i])
+            keys, used, b, t, tail = _GROUPS.get(key) or _group(key)
+            if len(keys) > budget:
+                # reached keeps this bubble's tails uncancelled, so walk it again
+                yield from keys[:budget]
+                i, b, t, back = len(big), 0, first, []
+                for _ in range(start):
+                    i -= 1 if b else 2
+                    b, t, tail = _RULES[big[i], b or big[i + 1], t]
+                    if b and big[i - 1] == -b:
+                        i, b = i - 1, 0
+                    back += tail
+                reached = (*small, *big[:i], *(b,)[: b != 0], t, *back[::-1], *letters[k + 1 :])
+                raise StepBudgetExceeded(max_steps, "normalizing Artin word", ArtinWord(reached))
+            budget -= len(keys)
+            yield from keys
+            i -= used
+            j, n = 0, len(tail)  # no search shows that a group's tail never cancels whole
+            while j < n and left[-1] == -tail[j]:
                 left.pop()
                 j += 1
             left += tail[j:]
-        if i:  # out of budget: reached keeps this bubble's tails uncancelled, so walk it again
-            i, b, t, back = len(big), 0, first, []
-            for _ in range(start - budget):
-                i -= 1 if b else 2
-                b, t, tail = _RULES[big[i], b or big[i + 1], t]
-                if b and big[i - 1] == -b:
-                    i, b = i - 1, 0
-                back += tail
-            reached = (*small, *big[:i], *(b,)[: b != 0], t, *back[::-1], *letters[k + 1 :])
-            raise StepBudgetExceeded(max_steps, "normalizing Artin word", ArtinWord(reached))
         if small and small[-1] == -t:
             small.pop()
         else:

@@ -33,8 +33,14 @@ class RandomParams(Record):
                 f"got {len(stop)}"
             )
         for s in stop:
+            # a bool would pass as 0 or 1, and a str would raise a TypeError below
+            if type(s) is bool or not isinstance(s, (int, float)):
+                raise ValueError(f"stopping probability {s!r} is not a number")
             if not 0.0 < s <= 1.0:
                 raise ValueError(f"stopping probability {s} not in (0, 1]")
+        # random.Random would seed itself from the OS on None
+        if type(seed) is not int:
+            raise ValueError(f"seed {seed!r} is not an integer")
         super().__init__(strands, stop, seed)
 
 

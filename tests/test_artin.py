@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from braidforms import (
     ArtinWord,
+    artin,
     embed_b3,
     equal_a,
     gather_steps_a,
@@ -117,19 +117,47 @@ def reference_steps(w):
         del pending[mark:]
 
 
+def group_walk(key):
+    """A reference for an entry of ``artin._GROUPS``: the steps of a bubble
+    in state ``key[:2]`` (carried b-letter, bubbling letter) through the run
+    letters ``key[2:]`` below it, as ``reference_steps``'s stack moves, up
+    to the first step whose b-letter would meet the letter below them.
+    Returns the steps' keys, the letters used, the new state and the tails,
+    freely reduced."""
+    b, t, *run = key
+    size = len(run)
+    if b:
+        run.append(b)
+    steps, pending = [], []
+    while len(run) >= 2:
+        nb, nt, tail = _RULES[run[-2], run[-1], t]
+        if nb and len(run) == 2:
+            break
+        steps.append((run[-2], run[-1], t))
+        del run[-2:]
+        b, t = 0, nt
+        if nb and run[-1] == -nb:
+            run.pop()
+        elif nb:
+            run.append(nb)
+            b = nb
+        pending.extend(tail)
+    return tuple(steps), size - len(run) + (b != 0), b, t, reduce_letters(pending)
+
+
 def step_words(w):
     """The word before each gathering step, from the reference."""
     return [word for word, _ in reference_steps(w)]
 
 
 def reduced_words(max_len):
-    """Every freely reduced word of at most ``max_len`` letters."""
-    return [
-        ArtinWord(letters)
-        for n in range(max_len + 1)
-        for letters in product((1, -1, 2, -2), repeat=n)
-        if reduce_letters(letters) == letters
-    ]
+    """Every freely reduced word of at most ``max_len`` letters, shortest
+    first, each length in lexicographic order of the letters 1, -1, 2, -2."""
+    words, level = [ArtinWord(())], [()]
+    for _ in range(max_len):
+        level = [w + (t,) for w in level for t in (1, -1, 2, -2) if not w or w[-1] != -t]
+        words += map(ArtinWord, level)
+    return words
 
 
 def long_words(seed, count=5):
@@ -377,13 +405,14 @@ class TestNormalizeA:
             assert normalize_a(parse_artin(text), max_steps=-1) == normalize_a(parse_artin(text))
 
     def test_no_tail_cancels_whole(self):
-        """``gather_steps_a`` cancels a landing tail against ``left`` only at
-        the tail's first letters and reads no further than its last one.  A
-        search over every bubble through any freely reduced ``big`` shows
-        that no tail cancels whole.  A state is the letter bubbling, the
-        b-letter carried, the last letter of ``big`` read and the top
-        ``depth`` letters of ``left``, below a ``None`` once cut; no
-        cancellation reaches the cut."""
+        """A tail of one step, landing on the tails laid before it in its
+        bubble, cancels only at its first letters.  A search over every
+        bubble through any freely reduced ``big`` shows that no such tail
+        cancels whole; ``gather_steps_a`` lands a group's tails at once,
+        and bounds that cancellation since no search covers groups.  A
+        state is the letter bubbling, the b-letter carried, the last letter
+        of ``big`` read and the top ``depth`` letters of ``left``, below a
+        ``None`` once cut; no cancellation reaches the cut."""
         depth = 8
         letters = (1, -1, 2, -2)
         start = [(t, 0, 0, ()) for t in (1, -1)]
@@ -418,6 +447,59 @@ class TestNormalizeA:
                         seen.add(state)
                         todo.append(state)
         assert most == 3
+
+    def test_group_memo_audited(self, monkeypatch):
+        """From an empty memo, seeded words leave in ``_GROUPS`` only the
+        steps of ``group_walk``, at least one per entry, under keys of the
+        6 states and windows of at most 6 letters, within the bound of
+        32,766 keys; and the kernel reads it, so one wrong entry shows."""
+        monkeypatch.setattr(artin, "_GROUPS", {})
+        words = [*long_words(25), *long_words(26, count=2), parse_artin("aabAB" * 20)]
+
+        def lines():
+            return [(keys(w), normalize_a(w)) for w in words]
+
+        before = lines()
+        groups = artin._GROUPS
+        assert groups
+        for key, group in groups.items():
+            b, t, *window = key
+            assert b in (0, 2, -2) and t in (1, -1) and 1 <= len(window) <= 6
+            assert group == group_walk(key)
+            assert group[0]
+        assert len(groups) <= 6 * sum(4**n for n in range(7)) == 32766
+        key, (steps, used, b, t, tail) = next(iter(groups.items()))
+        groups[key] = (steps, used, b, -t, tail)
+        assert lines() != before
+
+    def test_worst_cases_by_exhaustive_search(self):
+        """Every freely reduced word of n <= 9 letters takes at most
+        (n-2)(3n-7)/2 steps, and for n >= 4 only bb a^(n-2) and BB A^(n-2)
+        take that many, tripping a budget one short.  For n >= 3 its form
+        has at most 7n - 14 letters |m| + |w1|, and only (bb|BB)(a|A)^(n-2)
+        reach that.  The laws were found by this search, not proved."""
+        found: dict = {}
+        for w in reduced_words(9):
+            small, big = [], []
+            steps = sum(1 for _ in gather_steps_a(w, DEFAULT_STEP_BUDGET, small, big))
+            found.setdefault(len(w), []).append((steps, abs(sum(small)) + len(big), str(w)))
+        assert sorted(found) == list(range(10))
+        for n, rows in found.items():
+            most = max(steps for steps, _, _ in rows)
+            longest = max(letters for _, letters, _ in rows)
+            if n >= 2:
+                assert most == (n - 2) * (3 * n - 7) // 2, n
+            if n >= 4:
+                costliest = sorted(text for steps, _, text in rows if steps == most)
+                assert costliest == ["BB" + "A" * (n - 2), "bb" + "a" * (n - 2)]
+                for text in costliest:
+                    with pytest.raises(StepBudgetExceeded):
+                        normalize_a(parse_artin(text), max_steps=most - 1)
+            if n >= 3:
+                assert longest == 7 * n - 14, n
+                assert sorted(text for _, letters, text in rows if letters == longest) == sorted(
+                    b + y * (n - 2) for b in ("bb", "BB") for y in "aA"
+                )
 
     def test_short_words_meet_the_twelve_tabled_configurations(self):
         """On every reduced word of at most 8 letters, the steps meet exactly

@@ -43,6 +43,18 @@ class TestParams:
         with pytest.raises(ValueError, match=f"strand count {strands!r} is not an integer"):
             RandomParams(strands, stop)
 
+    @pytest.mark.parametrize("seed", [None, True, 7.0, "7"])
+    def test_seed_must_be_int(self, seed):
+        # random.Random(None) seeds from the OS, so each sample would differ
+        with pytest.raises(ValueError, match=f"seed {seed!r} is not an integer"):
+            RandomParams(3, (0.5, 0.5), seed)
+
+    @pytest.mark.parametrize("s", [True, False, "0.5", None])
+    def test_stop_entries_must_be_numbers(self, s):
+        # True would pass as 1.0, and "0.5" would raise a TypeError inside
+        with pytest.raises(ValueError, match=f"stopping probability {s!r} is not a number"):
+            RandomParams(3, (0.5, s))
+
 
 class TestRandomPower:
     def test_stop_probability_validated(self):
