@@ -14,6 +14,7 @@ word is already in this form is ``crossings.is_normal_form``.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import groupby, islice
 from operator import length_hint
 
@@ -25,6 +26,9 @@ from .words import BraidWord, NormalForm, free_reduce
 # every gather_strand call: adjacent generators p, q admit 12 configurations,
 # so it holds at most 24 entries per generator
 _RULES: dict[tuple[int, int, int], tuple[int, tuple[int, ...]]] = {}
+
+# one empty block per strand count: equal forms match them by identity
+_empty = cache(lambda strands: BraidWord._trusted(strands, ()))
 
 
 def gather_strand(
@@ -155,7 +159,7 @@ def _reduce_at(letters: list[int], cuts: list[int]) -> list[int]:
 def normal_form(w: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> NormalForm:
     """Compute the unique block-structured normal form of ``w``."""
     cur = free_reduce(w)
-    blocks = [BraidWord(w.strands)] * (w.strands - 2)
+    blocks = [_empty(w.strands)] * (w.strands - 2)
     # x_i crosses positions i, i+1 only and no step raises a generator, so
     # strand k is crossed only if k <= max|letter| + 1; once strand k is
     # gathered the prefix avoids it, so it uses x_1 .. x_{k-2} only

@@ -15,6 +15,14 @@ from typing import Iterable
 from .words import BraidWord, NormalForm, Record, check_strands
 
 
+def check_stop(s: float) -> None:
+    """Raise ValueError unless ``s`` is a number in (0, 1], not a bool."""
+    if type(s) is bool or not isinstance(s, (int, float)):
+        raise ValueError(f"stopping probability {s!r} is not a number")
+    if not 0.0 < s <= 1.0:
+        raise ValueError(f"stopping probability {s} not in (0, 1]")
+
+
 class RandomParams(Record):
     """Strand count, stopping probabilities s_2 .. s_N and a seed."""
 
@@ -33,11 +41,7 @@ class RandomParams(Record):
                 f"got {len(stop)}"
             )
         for s in stop:
-            # a bool would pass as 0 or 1, and a str would raise a TypeError below
-            if type(s) is bool or not isinstance(s, (int, float)):
-                raise ValueError(f"stopping probability {s!r} is not a number")
-            if not 0.0 < s <= 1.0:
-                raise ValueError(f"stopping probability {s} not in (0, 1]")
+            check_stop(s)
         # random.Random would seed itself from the OS on None
         if type(seed) is not int:
             raise ValueError(f"seed {seed!r} is not an integer")
@@ -50,8 +54,7 @@ def random_power(s: float, rng: random.Random) -> int:
     Stop at 0 with probability s; otherwise step to +1 or -1 with equal
     probability and keep extending away from zero until a stop.
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"stopping probability {s} not in (0, 1]")
+    check_stop(s)
     if rng.random() < s:
         return 0
     m = 1 if rng.random() < 0.5 else -1
@@ -92,8 +95,9 @@ def random_block(k: int, s: float, rng: random.Random, strands: int) -> BraidWor
     first letter is always x_k^{+-1}.  It tracks the strand's position and
     the last letter, so each letter costs O(1).
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"stopping probability {s} not in (0, 1]")
+    check_stop(s)
+    if type(k) is not int:  # bool too: True would pass as the block index 1
+        raise ValueError(f"block index {k!r} is not an integer")
     if k < 1:
         raise ValueError(f"block index must be >= 1, got {k}")
     letters: list[int] = []

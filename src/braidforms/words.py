@@ -21,31 +21,27 @@ class Record:
     records are equal only if they are of the same class with equal field
     tuples; the hash is the field tuple's; ``repr`` reads
     ``Name(field=value, ...)``; assigning a field raises ``AttributeError``;
-    pickling and copying call the constructor again with the fields.
+    pickling and copying call the constructor again with the fields.  Each
+    subclass gets both constructors when it is created, as closures for its
+    1, 2 or 3 fields that call each slot's setter with no loop; a subclass
+    with any other number of fields raises ``TypeError``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
+        n = len(cls.__slots__)
+        if not 1 <= n <= 3:
+            raise TypeError(f"{cls.__qualname__} has {n} fields; a Record has 1, 2 or 3")
+        # each slot's member-descriptor setter, which bypasses __setattr__ below
+        setters = [getattr(cls, f).__set__ for f in cls.__slots__]
+        cls._fill, cls._trusted = _constructors(cls, *setters)
         get = attrgetter(*cls.__slots__)
         # attrgetter of a single name returns the value, not a 1-tuple
-        cls._key = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
-        # each slot's member-descriptor setter, which bypasses __setattr__ below
-        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+        cls._key = staticmethod(get if n > 1 else lambda r: (get(r),))
 
     def __init__(self, *fields):
-        for put, value in zip(self._setters, fields):
-            put(self, value)
-
-    @classmethod
-    def _trusted(cls, *fields):
-        """``cls(*fields)`` without the subclass's checks, for fields known
-        to pass them, such as letters taken from checked words."""
-        r = object.__new__(cls)
-        # __init__'s loop inline: calling it costs a third more per record
-        for put, value in zip(cls._setters, fields):
-            put(r, value)
-        return r
+        self._fill(*fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -67,6 +63,40 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._key(self)
+
+
+def _constructors(cls, a, b=None, c=None):
+    """The filler of the record class ``cls``, a method that sets the fields
+    of a new record, and its ``_trusted``, from its slots' setters."""
+    new = object.__new__
+    if b is None:
+        def fill(r, x):
+            a(r, x)
+        def trusted(x):
+            r = new(cls)
+            a(r, x)
+            return r
+    elif c is None:
+        def fill(r, x, y):
+            a(r, x)
+            b(r, y)
+        def trusted(x, y):
+            r = new(cls)
+            a(r, x)
+            b(r, y)
+            return r
+    else:
+        def fill(r, x, y, z):
+            a(r, x)
+            b(r, y)
+            c(r, z)
+        def trusted(x, y, z):
+            r = new(cls)
+            a(r, x)
+            b(r, y)
+            c(r, z)
+            return r
+    return fill, staticmethod(trusted)
 
 
 def check_strands(strands: int) -> None:

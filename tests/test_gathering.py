@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -533,6 +534,31 @@ class TestNormalForm:
             calls.clear()
             assert nf_to_word(normal_form(word(n, letters))) == word(n, form)
             assert calls == [n]
+
+
+class TestSharedEmptyBlocks:
+    """Unused blocks are one shared empty word per strand count, so that
+    comparing two forms matches them by identity."""
+
+    def test_same_strand_count_shares_one_block(self):
+        # both words reach strand 3 only, so blocks w_4 .. w_6 are unused
+        a = normal_form(word(6, [1, 2]))
+        b = normal_form(word(6, [-2, 1, -1]))
+        empty = a.blocks[1]
+        assert all(block is empty for block in a.blocks[1:] + b.blocks[1:])
+        assert empty == BraidWord(6)
+        assert normal_form(word(6)).blocks == (empty,) * 4
+
+    def test_other_strand_counts_have_their_own(self):
+        empties = [normal_form(word(n, [1])).blocks[0] for n in (3, 4, 5)]
+        assert empties == [BraidWord(3), BraidWord(4), BraidWord(5)]
+        assert len({id(block) for block in empties}) == 3
+
+    @pytest.mark.parametrize("letters", [[1, 2], [3, 3, 2, 1], []])
+    def test_pickled_form_round_trips(self, letters):
+        nf = normal_form(word(6, letters))
+        other = pickle.loads(pickle.dumps(nf))
+        assert other == nf and hash(other) == hash(nf)
 
 
 @st.composite

@@ -61,6 +61,22 @@ class TestRandomPower:
         with pytest.raises(ValueError):
             random_power(0.0, random.Random(1))
 
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            (True, "stopping probability True is not a number"),
+            ("0.5", "stopping probability '0.5' is not a number"),
+            (None, "stopping probability None is not a number"),
+            (0.0, r"stopping probability 0.0 not in \(0, 1\]"),
+        ],
+    )
+    def test_stop_checked_as_random_params_checks_it(self, s, message):
+        # True used to run as s = 1.0, and "0.5" to raise a TypeError inside
+        with pytest.raises(ValueError, match=message):
+            random_power(s, random.Random(1))
+        with pytest.raises(ValueError, match=message):
+            RandomParams(2, (s,))
+
     def test_always_stops_when_certain(self):
         rng = random.Random(2)
         assert all(random_power(1.0, rng) == 0 for _ in range(20))
@@ -124,6 +140,11 @@ class TestRandomBlock:
             (0, 0.5, "block index must be >= 1, got 0"),
             (2, 0.0, r"stopping probability 0.0 not in \(0, 1\]"),
             (2, 1.5, r"stopping probability 1.5 not in \(0, 1\]"),
+            # True would pass as the block index 1, and as s = 1.0
+            (True, 0.5, "block index True is not an integer"),
+            (2.0, 0.5, "block index 2.0 is not an integer"),
+            (2, True, "stopping probability True is not a number"),
+            (2, "0.5", "stopping probability '0.5' is not a number"),
         ],
     )
     def test_arguments_validated(self, k, s, message):

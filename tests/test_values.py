@@ -2,14 +2,17 @@
 exceptions, and what importing the package costs."""
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import braidforms
 from braidforms import (
     ArtinNormalForm,
     ArtinWord,
@@ -23,6 +26,7 @@ from braidforms import (
     Strategy,
     crossing,
 )
+from braidforms.words import Record
 
 # (value, its fields in constructor order, its repr)
 VALUES = [
@@ -109,12 +113,50 @@ class TestValueSemantics:
             with pytest.raises(AttributeError):
                 setattr(other, name, None)
 
+    def test_every_slot_is_set(self, value, fields, text):
+        names = FIELD_NAMES[type(value)]
+        assert type(value).__slots__ == names
+        for built in (value, type(value)._trusted(*fields)):
+            assert tuple(getattr(built, name) for name in names) == fields
+
     @pytest.mark.parametrize("clone", CLONES)
     def test_round_trips(self, value, fields, text, clone):
         other = clone(value)
         assert type(other) is type(value)
         assert other == value
         assert hash(other) == hash(value)
+
+    @pytest.mark.parametrize("clone", CLONES)
+    def test_trusted_round_trips(self, value, fields, text, clone):
+        other = clone(type(value)._trusted(*fields))
+        assert type(other) is type(value)
+        assert other == value
+        assert hash(other) == hash(value)
+        assert repr(other) == text
+
+
+def test_every_record_class_is_audited():
+    """``VALUES`` and ``FIELD_NAMES`` cover every ``Record`` subclass the
+    package defines, found after importing each of its modules."""
+    for module in pkgutil.iter_modules(braidforms.__path__):
+        importlib.import_module(f"braidforms.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("braidforms."):
+                found.add(cls)
+    assert found == set(FIELD_NAMES) == {type(v) for v, _, _ in VALUES}
+
+
+@pytest.mark.parametrize("names", [(), ("a", "b", "c", "d")], ids=["none", "four"])
+def test_records_of_other_arities_are_refused_at_class_creation(names):
+    """Each record class gets constructors made for 1, 2 or 3 fields, the
+    arities the package uses."""
+    with pytest.raises(TypeError, match=rf"\.Other has {len(names)} fields; a Record has 1, 2 or 3$"):
+
+        class Other(Record):
+            __slots__ = names
 
 
 # (error, its message, the attributes it carries)
