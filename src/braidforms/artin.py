@@ -76,12 +76,12 @@ class ArtinWord(Record):
     __slots__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __init__(self, letters: Iterable[int] = ()):
+    def __new__(cls, letters: Iterable[int] = ()):
         letters = tuple(letters)
         for t in letters:
             if type(t) is not int or abs(t) not in (1, 2):
                 raise ValueError(f"bad letter {t!r}; expected +-1 or +-2")
-        super().__init__(letters)
+        return cls._trusted(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -103,8 +103,8 @@ class ArtinNormalForm(Record):
     m: int
     w1: ArtinWord
 
-    def __init__(self, m: int, w1: ArtinWord):
-        super().__init__(m, w1)
+    def __new__(cls, m: int, w1: ArtinWord):
+        return cls._trusted(m, w1)
 
 
 def word_image(w: ArtinWord) -> SquareReflection:
@@ -155,27 +155,33 @@ _RULES = {
 
 _WINDOW = 6
 _GROUPS: dict = {}  # (carried b-letter, bubbling letter, *window) -> group
+_KEYS = {k: k for k in _RULES}  # so the memo's keys share _RULES's tuples
 
 
-def _group(key: tuple) -> tuple:
-    """The steps a bubble in state ``key[:2]`` takes through the window
-    ``key[2:]`` of the run below it, one ``_RULES`` step at a time while
-    every letter a step reads lies in the window: their keys, the letters
-    used, the new state and their tails, concatenated and freely reduced."""
-    b, t, *run = key
-    shared = {k: k for k in _RULES}
+def _walk(run: list | tuple, b: int, t: int, limit: int) -> tuple:
+    """The ``_RULES`` steps of a bubble in state ``(b, t)`` down ``run`` from
+    its top, at most ``limit`` and each reading letters of ``run`` only: their
+    keys, the length of run left unused, the new state and their tails."""
     i, keys, tails = len(run), [], []
-    while i > (b == 0):  # z1 under a carried b-letter, else z1 z2
+    while i > (b == 0) and len(keys) < limit:  # z1 under a carried b-letter, else z1 z2
         j = i - (1 if b else 2)
-        step = shared[run[j], b or run[j + 1], t]
+        step = _KEYS[run[j], b or run[j + 1], t]
         nb, nt, tail = _RULES[step]
-        if nb and not j:  # the new b-letter meets the letter below the window
+        if nb and not j:  # the new b-letter meets the letter below the run
             break
         keys.append(step)
         i, b, t = j, nb, nt
         if b and run[j - 1] == -b:
             i, b = j - 1, 0
         tails += tail
+    return keys, i, b, t, tails
+
+
+def _group(key: tuple) -> tuple:
+    """The ``_walk`` of a bubble in state ``key[:2]`` through the window
+    ``key[2:]`` below it, memoized with the letters used and its tails reduced."""
+    run = key[2:]
+    keys, i, b, t, tails = _walk(run, *key[:2], len(run))
     _GROUPS[key] = group = (tuple(keys), len(run) - i, b, t, reduce_letters(tails))
     return group
 
@@ -218,13 +224,7 @@ def gather_steps_a(w: ArtinWord, max_steps: int, small: list, big: list):
             if len(keys) > budget:
                 # reached keeps this bubble's tails uncancelled, so walk it again
                 yield from keys[:budget]
-                i, b, t, back = len(big), 0, first, []
-                for _ in range(start):
-                    i -= 1 if b else 2
-                    b, t, tail = _RULES[big[i], b or big[i + 1], t]
-                    if b and big[i - 1] == -b:
-                        i, b = i - 1, 0
-                    back += tail
+                _, i, b, t, back = _walk(big, 0, first, start)
                 reached = (*small, *big[:i], *(b,)[: b != 0], t, *back[::-1], *letters[k + 1 :])
                 raise StepBudgetExceeded(max_steps, "normalizing Artin word", ArtinWord(reached))
             budget -= len(keys)

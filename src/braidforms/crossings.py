@@ -40,7 +40,7 @@ class CrossingSequence(Record):
     strands: int
     items: tuple[Crossing, ...]
 
-    def __init__(self, strands: int, items: Iterable[Crossing] = ()):
+    def __new__(cls, strands: int, items: Iterable[Crossing] = ()):
         check_strands(strands)
         items = tuple(items)
         for c in items:
@@ -51,7 +51,7 @@ class CrossingSequence(Record):
                 raise ValueError(f"crossing {c} out of range for {strands} strands")
             if sign not in (1, -1):
                 raise ValueError(f"bad sign in crossing {c}")
-        super().__init__(strands, items)
+        return cls._trusted(strands, items)
 
     def __len__(self) -> int:
         return len(self.items)

@@ -170,16 +170,17 @@ def normal_form(w: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> NormalFor
     # what is left uses x1 only and is freely reduced, hence a single power:
     # every letter is 1 or -1
     m = sum(cur.letters)
-    return NormalForm(w.strands, m, tuple(blocks))
+    return NormalForm._trusted(w.strands, m, tuple(blocks))
 
 
 def nf_to_word(nf: NormalForm) -> BraidWord:
-    """Concatenate x1^m and the blocks; no cross-seam cancellation occurs."""
+    """Concatenate x1^m and the blocks; no cross-seam cancellation occurs.
+    A ``NormalForm``'s letters are checked already, so they skip the check."""
     sign = 1 if nf.m >= 0 else -1
     letters = (sign,) * abs(nf.m)
     for block in nf.blocks:
         letters += block.letters
-    return BraidWord(nf.strands, letters)
+    return BraidWord._trusted(nf.strands, letters)
 
 
 def check_b3_parity(nf: NormalForm) -> bool:

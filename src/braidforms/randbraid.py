@@ -31,7 +31,7 @@ class RandomParams(Record):
     stop: tuple[float, ...]
     seed: int
 
-    def __init__(self, strands: int, stop: Iterable[float], seed: int = 0):
+    def __new__(cls, strands: int, stop: Iterable[float], seed: int = 0):
         check_strands(strands)
         stop = tuple(stop)
         expected = strands - 1
@@ -45,7 +45,7 @@ class RandomParams(Record):
         # random.Random would seed itself from the OS on None
         if type(seed) is not int:
             raise ValueError(f"seed {seed!r} is not an integer")
-        super().__init__(strands, stop, seed)
+        return cls._trusted(strands, stop, seed)
 
 
 def random_power(s: float, rng: random.Random) -> int:
@@ -115,9 +115,9 @@ def random_braid(params: RandomParams) -> NormalForm:
     rng = random.Random(params.seed)
     n = params.strands
     if n < 2:
-        return NormalForm(n, 0)
+        return NormalForm._trusted(n, 0, ())
     m = random_power(params.stop[0], rng)
     blocks = tuple(
         random_block(k, params.stop[k - 1], rng, strands=n) for k in range(2, n)
     )
-    return NormalForm(n, m, blocks)
+    return NormalForm._trusted(n, m, blocks)

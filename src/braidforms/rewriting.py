@@ -54,8 +54,8 @@ class RewriteRule(Record):
     length: int
     replacement: tuple[Crossing, ...]
 
-    def __init__(self, template: str, length: int, replacement: tuple[Crossing, ...]):
-        super().__init__(template, length, replacement)
+    def __new__(cls, template: str, length: int, replacement: tuple[Crossing, ...]):
+        return cls._trusted(template, length, replacement)
 
 
 class RewriteSite(NamedTuple):
@@ -75,12 +75,12 @@ class Strategy(Record):
     kind: str  # "leftmost", "rightmost" or "random"
     seed: int | None
 
-    def __init__(self, kind: str, seed: int | None = None):
+    def __new__(cls, kind: str, seed: int | None = None):
         if kind not in ("leftmost", "rightmost", "random"):
             raise ValueError(f"unknown strategy kind {kind!r}")
         if kind == "random" and seed is None:
             raise ValueError("random strategy needs a seed")
-        super().__init__(kind, seed)
+        return cls._trusted(kind, seed)
 
 
 LEFTMOST = Strategy("leftmost")

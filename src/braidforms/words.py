@@ -16,15 +16,15 @@ class Record:
     """Base of the immutable value types: a fixed tuple of named fields.
 
     A subclass names its fields, in constructor order, in ``__slots__``; its
-    own ``__init__`` checks its arguments and passes the fields on to
-    ``Record.__init__``, and ``_trusted`` builds one without the checks.  Two
+    ``__new__`` checks its arguments and returns ``cls._trusted(...)``, which
+    builds one without the checks and is the one place that sets fields.  Two
     records are equal only if they are of the same class with equal field
     tuples; the hash is the field tuple's; ``repr`` reads
-    ``Name(field=value, ...)``; assigning a field raises ``AttributeError``;
-    pickling and copying call the constructor again with the fields.  Each
-    subclass gets both constructors when it is created, as closures for its
-    1, 2 or 3 fields that call each slot's setter with no loop; a subclass
-    with any other number of fields raises ``TypeError``.
+    ``Name(field=value, ...)``; assigning or deleting a field raises
+    ``AttributeError``; pickling and copying call the constructor again with
+    the fields.  Each subclass gets its ``_trusted`` when it is created, a
+    closure for its 1, 2 or 3 fields that calls each slot's setter with no
+    loop; a subclass with any other number of fields raises ``TypeError``.
     """
 
     __slots__ = ()
@@ -34,14 +34,10 @@ class Record:
         if not 1 <= n <= 3:
             raise TypeError(f"{cls.__qualname__} has {n} fields; a Record has 1, 2 or 3")
         # each slot's member-descriptor setter, which bypasses __setattr__ below
-        setters = [getattr(cls, f).__set__ for f in cls.__slots__]
-        cls._fill, cls._trusted = _constructors(cls, *setters)
+        cls._trusted = _trusted_for(cls, *[getattr(cls, f).__set__ for f in cls.__slots__])
         get = attrgetter(*cls.__slots__)
         # attrgetter of a single name returns the value, not a 1-tuple
         cls._key = staticmethod(get if n > 1 else lambda r: (get(r),))
-
-    def __init__(self, *fields):
-        self._fill(*fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -65,38 +61,28 @@ class Record:
         return type(self), self._key(self)
 
 
-def _constructors(cls, a, b=None, c=None):
-    """The filler of the record class ``cls``, a method that sets the fields
-    of a new record, and its ``_trusted``, from its slots' setters."""
+def _trusted_for(cls, a, b=None, c=None):
+    """The ``_trusted`` of the record class ``cls``, from its slots' setters."""
     new = object.__new__
     if b is None:
-        def fill(r, x):
-            a(r, x)
         def trusted(x):
             r = new(cls)
             a(r, x)
             return r
     elif c is None:
-        def fill(r, x, y):
-            a(r, x)
-            b(r, y)
         def trusted(x, y):
             r = new(cls)
             a(r, x)
             b(r, y)
             return r
     else:
-        def fill(r, x, y, z):
-            a(r, x)
-            b(r, y)
-            c(r, z)
         def trusted(x, y, z):
             r = new(cls)
             a(r, x)
             b(r, y)
             c(r, z)
             return r
-    return fill, staticmethod(trusted)
+    return staticmethod(trusted)
 
 
 def check_strands(strands: int) -> None:
@@ -109,26 +95,22 @@ def check_strands(strands: int) -> None:
 
 
 class BraidWord(Record):
-    """A word in the braid group on ``strands`` strands.
-
-    ``letters`` holds signed integers; letter t stands for x_|t|^sign(t)
-    with 1 <= |t| <= strands - 1.
-    """
+    """A word in the braid group on ``strands`` strands: each letter t of
+    ``letters`` stands for x_|t|^sign(t), with 1 <= |t| <= strands - 1."""
 
     __slots__ = ("strands", "letters")
     strands: int
     letters: tuple[int, ...]
 
-    def __init__(self, strands: int, letters: Iterable[int] = ()):
+    def __new__(cls, strands: int, letters: Iterable[int] = ()):
         check_strands(strands)
         letters = tuple(letters)
-        top = strands - 1
         for t in letters:
             if type(t) is not int:  # bool too: True would pass as the letter 1
                 raise ValueError(f"letter {t!r} is not an integer")
-            if t == 0 or abs(t) > top:
+            if t == 0 or abs(t) >= strands:
                 raise ValueError(f"letter {t} out of range for {strands} strands")
-        super().__init__(strands, letters)
+        return cls._trusted(strands, letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -144,15 +126,28 @@ word = BraidWord
 
 
 class NormalForm(Record):
-    """Exponent of the leading x1 power plus the blocks w_3 .. w_N."""
+    """Exponent of the leading x1 power plus the blocks w_3 .. w_N, each a
+    word on ``strands`` strands."""
 
     __slots__ = ("strands", "m", "blocks")
     strands: int
     m: int
     blocks: tuple[BraidWord, ...]
 
-    def __init__(self, strands: int, m: int, blocks: tuple[BraidWord, ...] = ()):
-        super().__init__(strands, m, blocks)
+    def __new__(cls, strands: int, m: int, blocks: Iterable[BraidWord] = ()):
+        check_strands(strands)
+        if type(m) is not int:  # bool too: True would pass as 1
+            raise ValueError(f"x1 power {m!r} is not an integer")
+        if m and strands < 2:
+            raise ValueError(f"x1 power {m} on 1 strand is not 0")
+        blocks = tuple(blocks)
+        need = strands - 2 if strands > 2 else 0
+        if len(blocks) != need:
+            raise ValueError(f"need {need} blocks for {strands} strands, got {len(blocks)}")
+        for b in blocks:
+            if b.__class__ is not BraidWord or b.strands != strands:
+                raise ValueError(f"block {b!r} is not a word on {strands} strands")
+        return cls._trusted(strands, m, blocks)
 
     def block(self, k: int) -> BraidWord:
         """Block w_k for 3 <= k <= strands."""
@@ -173,28 +168,23 @@ def reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
-    """Delete adjacent x_i^e x_i^-e pairs until none remain.
-
-    A single left-to-right pass with a pending-output stack suffices: free
-    reduction is confluent, so the result does not depend on deletion order.
-    The letters kept are a subsequence of a checked word's, so they skip the
-    range check.
-    """
+    """Delete adjacent x_i^e x_i^-e pairs until none remain, in one stack
+    pass: free reduction is confluent, so the order does not matter.  The
+    letters kept are a checked word's, so they skip the check."""
     return BraidWord._trusted(w.strands, reduce_letters(w.letters))
 
 
 def inverse(w: BraidWord) -> BraidWord:
-    """Reverse the letters and negate the signs."""
-    return BraidWord(w.strands, tuple(-t for t in reversed(w.letters)))
+    """Reverse the letters and negate the signs; a checked word's negated
+    letters are in range, so they skip the check."""
+    return BraidWord._trusted(w.strands, tuple(-t for t in reversed(w.letters)))
 
 
 def concat(u: BraidWord, v: BraidWord) -> BraidWord:
-    """Juxtapose two words over the same strand count."""
+    """Juxtapose two checked words over the same strand count."""
     if u.strands != v.strands:
-        raise ValueError(
-            f"strand count mismatch: {u.strands} vs {v.strands}"
-        )
-    return BraidWord(u.strands, u.letters + v.letters)
+        raise ValueError(f"strand count mismatch: {u.strands} vs {v.strands}")
+    return BraidWord._trusted(u.strands, u.letters + v.letters)
 
 
 def permutation(w: BraidWord) -> tuple[int, ...]:

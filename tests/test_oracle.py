@@ -110,6 +110,10 @@ class TestRelationMoves:
             assert burau(v) == burau(w)
             assert permutation(v) == permutation(w)
 
+    def test_mutate_stops_when_no_move_applies(self):
+        # a word on one strand has no letters, so no relation move applies
+        assert mutate(BraidWord(1), random.Random(35), 3) == BraidWord(1)
+
 
 class TestBfsEqual:
     def test_relation_is_equal(self):

@@ -104,6 +104,12 @@ class TestValueSemantics:
                 setattr(value, name, None)
         assert repr(value) == text
 
+    def test_fields_cannot_be_deleted(self, value, fields, text):
+        for name in FIELD_NAMES[type(value)]:
+            with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+                delattr(value, name)
+        assert repr(value) == text
+
     def test_trusted_builds_the_same_value(self, value, fields, text):
         other = type(value)._trusted(*fields)
         assert other == value

@@ -5,13 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from braidforms import (
+    ArtinWord,
     BraidWord,
+    NormalForm,
     aij,
     classify,
     concat,
     free_reduce,
     inverse,
     is_pure,
+    nf_to_word,
     permutation,
     word,
     word_to_crossings,
@@ -59,6 +62,46 @@ class TestConstruction:
         assert word(1).letters == ()
         with pytest.raises(ValueError):
             BraidWord(1, (1,))
+
+    def test_iterates_over_its_letters(self):
+        w = word(4, [3, -2, -2, 1])
+        assert list(w) == list(w.letters) == [3, -2, -2, 1]
+
+
+class TestNormalFormConstruction:
+    # each of these was accepted, and failed only later or not at all: an
+    # internal TypeError in nf_to_word, an IndexError from .block(3), a
+    # letter blamed for a block on the wrong strand count, an internal
+    # AttributeError, and a form equal to the m = 1 form
+    @pytest.mark.parametrize(
+        "strands, m, blocks, message",
+        [
+            (3, 1.5, (BraidWord(3),), r"x1 power 1\.5 is not an integer"),
+            (3, 1, (), "need 1 blocks for 3 strands, got 0"),
+            (4, 1, (BraidWord(5, (4,)), BraidWord(5)), r"block BraidWord\(strands=5, .* is not a word on 4 strands"),
+            (2, 0, ("x",), "need 0 blocks for 2 strands, got 1"),
+            (3, True, (BraidWord(3),), "x1 power True is not an integer"),
+            (1, 2, (), "x1 power 2 on 1 strand is not 0"),
+            (3, 0, ("x",), "block 'x' is not a word on 3 strands"),
+            (3, 0, (ArtinWord((1,)),), r"block ArtinWord\(letters=\(1,\)\) is not a word on 3 strands"),
+            (4, 0, (BraidWord(4), BraidWord(4), BraidWord(4)), "need 2 blocks for 4 strands, got 3"),
+        ],
+        ids=["float-m", "no-block", "block-on-5", "str-on-2", "bool-m", "m-on-1", "str", "artin", "extra"],
+    )
+    def test_fields_validated(self, strands, m, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            NormalForm(strands, m, blocks)
+
+    @pytest.mark.parametrize("strands", [3.0, True, 0, "3"])
+    def test_strand_count_validated(self, strands):
+        with pytest.raises(ValueError, match="strand count"):
+            NormalForm(strands, 0, ())
+
+    def test_valid_forms(self):
+        assert NormalForm(1, 0).blocks == NormalForm(2, -3).blocks == ()
+        nf = NormalForm(4, -2, [word(4, [2, 1]), word(4, [3])])
+        assert nf.blocks == (word(4, [2, 1]), word(4, [3]))
+        assert nf_to_word(nf) == word(4, [-1, -1, 2, 1, 3])
 
 
 class TestFreeReduce:
