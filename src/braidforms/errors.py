@@ -8,8 +8,9 @@ class StepBudgetExceeded(RuntimeError):
 
     Signals pathological length blowup, not incorrectness; callers may retry
     with a larger budget.  ``reached`` equals the loop's input in the group:
-    the word of the strand being gathered (``gather_strand``, ``normal_form``),
-    the ``CrossingSequence`` (``residue``) or the ``ArtinWord`` (``normalize_a``).
+    the word of the strand being gathered (``gather_strand``), that word
+    followed by the blocks already gathered (``normal_form``), the
+    ``CrossingSequence`` (``residue``) or the ``ArtinWord`` (``normalize_a``).
     ``context`` is what the message says the loop was doing.
     """
 

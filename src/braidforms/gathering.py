@@ -10,6 +10,11 @@ k = N, N-1, ..., 3 yields the unique form
 where block w_k entangles strand k only.  A small letter bubbles left
 through the big run by commuting or by ``patterns.pattern_rhs``; whether a
 word is already in this form is ``crossings.is_normal_form``.
+
+Worst case in B3, found by exhaustive search over the freely reduced words of
+at most 9 letters (a test repeats it), not proved: n >= 2 letters take at
+most (n-2)^2 steps and give at most 5n-8 letters |m| + |w_3|; 2 -1 2^(n-2)
+and its sign mirror reach both.
 """
 
 from __future__ import annotations
@@ -157,7 +162,11 @@ def _reduce_at(letters: list[int], cuts: list[int]) -> list[int]:
 
 
 def normal_form(w: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> NormalForm:
-    """Compute the unique block-structured normal form of ``w``."""
+    """Compute the unique block-structured normal form of ``w``.
+
+    Each strand's gathering has ``max_steps`` steps; a trip's ``reached`` is
+    the word of the strand being gathered followed by the blocks already
+    gathered, so it is ``w`` in the group."""
     cur = free_reduce(w)
     blocks = [_empty(w.strands)] * (w.strands - 2)
     # x_i crosses positions i, i+1 only and no step raises a generator, so
@@ -165,7 +174,12 @@ def normal_form(w: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> NormalFor
     # gathered the prefix avoids it, so it uses x_1 .. x_{k-2} only
     k = min(w.strands, max(map(abs, cur.letters), default=0) + 1)
     while k > 2:
-        cur, blocks[k - 3] = gather_strand(cur, k, max_steps=max_steps)
+        try:
+            cur, blocks[k - 3] = gather_strand(cur, k, max_steps=max_steps)
+        except StepBudgetExceeded as trip:
+            rest = [t for block in blocks[k - 2 :] for t in block.letters]
+            trip.reached = BraidWord._trusted(w.strands, (*trip.reached.letters, *rest))
+            raise
         k = min(k - 1, max(map(abs, cur.letters), default=0) + 1)
     # what is left uses x1 only and is freely reduced, hence a single power:
     # every letter is 1 or -1
@@ -176,11 +190,10 @@ def normal_form(w: BraidWord, max_steps: int = DEFAULT_STEP_BUDGET) -> NormalFor
 def nf_to_word(nf: NormalForm) -> BraidWord:
     """Concatenate x1^m and the blocks; no cross-seam cancellation occurs.
     A ``NormalForm``'s letters are checked already, so they skip the check."""
-    sign = 1 if nf.m >= 0 else -1
-    letters = (sign,) * abs(nf.m)
+    letters = [1 if nf.m >= 0 else -1] * abs(nf.m)
     for block in nf.blocks:
         letters += block.letters
-    return BraidWord._trusted(nf.strands, letters)
+    return BraidWord._trusted(nf.strands, tuple(letters))
 
 
 def check_b3_parity(nf: NormalForm) -> bool:

@@ -27,7 +27,8 @@ the sequence.  One process-wide dict maps each window to its rule, or
 ``None``.  ``applicable_sites`` (so ``residue`` and ``max_chain_length``)
 reads it inline, and only a miss calls the matchers, whose result is stored
 while the dict holds fewer than 2^14 entries: every window of B3-B5 (20
-crossings, so 20^3 + 20^2 = 8,400 windows) fits.
+crossings, so 20^3 + 20^2 = 8,400 windows) fits.  It is the only memo of rule
+instances: ``_match_triple`` traces each I-rule straight onto its window.
 
 COM is needed: without it, residues differ on 23 of 40 seeded B4 sequences.
 """
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from functools import cache
 from itertools import compress, count, islice
 from typing import NamedTuple
 
@@ -99,33 +99,14 @@ def _match_pair(u: Crossing, v: Crossing) -> RewriteRule | None:
     return None
 
 
-@cache
-def _lift(ru: int, rv: int, su: int, sv: int, sw: int) -> RewriteRule | None:
-    """The I-rule at ``(ru,3,su) (rv,3,sv) (1,2,sw)``, read off ``pattern_rhs``.
-
-    ``order`` lists strands 1-3 by their starting position in an arrangement
-    where the triple is valid; its letters there follow from the key, and the
-    pattern's replacement is traced back through ``order``; the pattern names
-    the rule.  Only 32 keys can occur.
-    """
-    if ru == rv:
-        order, letters = (3 - ru, ru, 3), (2 * su, 2 * sv, sw)
-    else:
-        order, letters = (rv, ru, 3), (2 * su, sv, 2 * sw)
-    pattern = pattern_rhs(*letters)
-    if pattern is None:
-        return None
-    traced = word_to_crossings(BraidWord(3, pattern[1]))
-    rhs = tuple(crossing(order[x.low - 1], order[x.high - 1], x.sign) for x in traced)
-    return RewriteRule(pattern[0], 3, rhs)
-
-
 def _match_triple(u: Crossing, v: Crossing, w: Crossing) -> RewriteRule | None:
     """I1-I4 at ``u v w``: gathering's patterns read on crossings.
 
     ``u`` and ``v`` cross ``k`` with ``j`` and ``l`` below it, and ``w``
-    crosses ``j`` and ``l``.  The rule depends only on the signs and the order
-    of the three strands, so it is lifted on strands 1-3 and relabelled.
+    crosses ``j`` and ``l``.  Wherever such a triple is valid, ``l``, ``j``
+    and ``k`` start at three adjacent positions in that order, so its letters
+    there follow from the signs alone; the pattern's replacement is traced on
+    strands 1-3 and relabelled ``(l, j, k)``, and the pattern names the rule.
     """
     k, j = u.high, u.low
     # l is v's low strand, or w's other one when u and v share their pair
@@ -133,12 +114,17 @@ def _match_triple(u: Crossing, v: Crossing, w: Crossing) -> RewriteRule | None:
     low, mid = (j, l) if j < l else (l, j)
     if v.high != k or w.high >= k or w.low != low or w.high != mid:
         return None
-    rule = _lift(1 + (j == mid), 1 + (v.low == mid), u.sign, v.sign, w.sign)
-    if rule is None:
+    # u v w cross positions 2-3, 2-3, 1-2 if u and v share their pair, else 2-3, 1-2, 2-3
+    if v.low == j:
+        pattern = pattern_rhs(2 * u.sign, 2 * v.sign, w.sign)
+    else:
+        pattern = pattern_rhs(2 * u.sign, v.sign, 2 * w.sign)
+    if pattern is None:
         return None
-    at = (0, low, mid, k)
-    rhs = tuple([Crossing(at[a], at[b], e) for a, b, e in rule.replacement])
-    return RewriteRule(rule.template, 3, rhs)
+    at = (0, l, j, k)
+    traced = word_to_crossings(BraidWord._trusted(3, pattern[1]))
+    rhs = tuple([crossing(at[x.low], at[x.high], x.sign) for x in traced])
+    return RewriteRule(pattern[0], 3, rhs)
 
 
 # The window -> rule memo, bounded by ``_WINDOWS_CAP``; see the docstring.

@@ -127,7 +127,8 @@ word = BraidWord
 
 class NormalForm(Record):
     """Exponent of the leading x1 power plus the blocks w_3 .. w_N, each a
-    word on ``strands`` strands."""
+    word on ``strands`` strands.  Walked with strand k starting at position k,
+    each letter of w_k crosses strand k and does not cancel the one before."""
 
     __slots__ = ("strands", "m", "blocks")
     strands: int
@@ -144,9 +145,17 @@ class NormalForm(Record):
         need = strands - 2 if strands > 2 else 0
         if len(blocks) != need:
             raise ValueError(f"need {need} blocks for {strands} strands, got {len(blocks)}")
-        for b in blocks:
+        for k, b in enumerate(blocks, 3):
             if b.__class__ is not BraidWord or b.strands != strands:
                 raise ValueError(f"block {b!r} is not a word on {strands} strands")
+            p, last = k, 0  # strand k's position and the letter before
+            for t in b.letters:
+                i = abs(t)
+                if i >= k or p - i not in (0, 1):
+                    raise ValueError(f"letter {t} of block w_{k} does not cross strand {k}")
+                if t == -last:
+                    raise ValueError(f"letter {t} of block w_{k} cancels the one before it")
+                p, last = (i + 1 if p == i else i), t
         return cls._trusted(strands, m, blocks)
 
     def block(self, k: int) -> BraidWord:

@@ -493,13 +493,52 @@ class TestNormalForm:
             normal_form(w, max_steps=10)
 
     def test_budget_trip_reaches_the_gathered_strand(self):
-        # strand 4 needs no step, strand 3 one: the trip is on the prefix
+        # strand 4 needs no step, strand 3 one: the trip is on the prefix, and
+        # reached is the whole braid, the strand-4 block after it
         w = word(4, [2, 1, 2, 3, 2, 1])
         prefix, block = gather_strand(w, 4, max_steps=0)
         assert block.letters == (3, 2, 1)
         with pytest.raises(StepBudgetExceeded) as exc:
             normal_form(w, max_steps=0)
-        assert exc.value.reached == prefix
+        assert str(exc.value) == "step budget of 0 exceeded while gathering strand 3"
+        assert exc.value.reached == word(4, prefix.letters + block.letters)
+
+    def test_every_trip_reaches_the_input_braid(self):
+        # gather_strand's reached alone, without the blocks gathered above
+        # it, has another normal form on 371 of these trips
+        rng = random.Random(29)
+        trips = 0
+        for _ in range(600):
+            w = random_word(rng.choice((4, 5, 6)), rng.randrange(2, 16), rng)
+            nf = normal_form(w)
+            for budget in range(40):
+                try:
+                    normal_form(w, max_steps=budget)
+                except StepBudgetExceeded as trip:
+                    trips += 1
+                    assert normal_form(trip.reached) == nf
+        assert trips == 5448
+
+    def test_b3_worst_cases_by_exhaustive_search(self):
+        """Every freely reduced B3 word of 2 <= n <= 9 letters takes at most
+        (n-2)^2 steps and gives a form of at most 5n - 8 letters |m| + |w_3|,
+        and for n >= 3, 2 -1 2^(n-2) and its sign mirror reach both: they
+        give 5n - 8 letters and trip a budget one short.  The laws were found
+        by this search, not proved."""
+        level = [()]
+        for n in range(1, 10):
+            level = [w + (t,) for w in level for t in (1, -1, 2, -2) if not w or w[-1] != -t]
+            if n < 2:
+                continue
+            budget = (n - 2) ** 2
+            forms = [normal_form(BraidWord(3, w), max_steps=budget) for w in level]
+            assert max(abs(nf.m) + len(nf.block(3)) for nf in forms) == 5 * n - 8, n
+            for s in (1, -1) if n >= 3 else ():
+                worst = word(3, [2 * s, -s] + [2 * s] * (n - 2))
+                nf = normal_form(worst, max_steps=budget)
+                assert abs(nf.m) + len(nf.block(3)) == 5 * n - 8
+                with pytest.raises(StepBudgetExceeded):
+                    normal_form(worst, max_steps=budget - 1)
 
     def test_commutation_heavy_word_pinned(self):
         # each x1 commutes past all 400 x4: 200 * 400 steps for 600 letters
@@ -662,11 +701,12 @@ class TestB3Parity:
         assert check_b3_parity(normal_form(word(3, [2, 1, 1, -2])))
         ok = NormalForm(3, 0, (word(3, [2, 1, 1, -2]),))
         assert check_b3_parity(ok)
-        bad = NormalForm(3, 0, (word(3, [2, 2, 1]),))
+        # no word has this form, so it is built unchecked
+        bad = NormalForm._trusted(3, 0, (word(3, [2, 2, 1]),))
         assert not check_b3_parity(bad)
 
     def test_block_must_start_with_x2(self):
-        assert not check_b3_parity(NormalForm(3, 0, (word(3, [1, 2]),)))
+        assert not check_b3_parity(NormalForm._trusted(3, 0, (word(3, [1, 2]),)))
 
     def test_empty_block_passes(self):
         assert check_b3_parity(NormalForm(3, 5, (word(3),)))

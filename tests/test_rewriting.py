@@ -183,13 +183,6 @@ class TestRuleApplication:
         for u, v, w in product(items, repeat=3):
             assert _match_pair(u, v) is None or _match_triple(u, v, w) is None
 
-    def test_rule_table_stays_small(self):
-        """I-rules are lifted once per strand order and signs, not per triple."""
-        items = [crossing(a, b, s) for a, b in combinations(range(1, 7), 2) for s in (1, -1)]
-        for triple in product(items, repeat=3):
-            _match_triple(*triple)
-        assert rewriting._lift.cache_info().currsize <= 32
-
     @pytest.mark.parametrize(
         "strands, counts",
         [

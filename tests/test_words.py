@@ -1,5 +1,7 @@
 """Braid words: free reduction, permutation homomorphism, pure-braid generators."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from braidforms import (
     inverse,
     is_pure,
     nf_to_word,
+    normal_form,
     permutation,
     word,
     word_to_crossings,
@@ -91,6 +94,53 @@ class TestNormalFormConstruction:
     def test_fields_validated(self, strands, m, blocks, message):
         with pytest.raises(ValueError, match=message):
             NormalForm(strands, m, blocks)
+
+    # accepted while only the blocks' type and strand count were checked,
+    # though no word normalizes to them
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ((word(3, [1]),), "letter 1 of block w_3 does not cross strand 3"),
+            ((word(4, [3]), word(4)), "letter 3 of block w_3 does not cross strand 3"),
+            ((word(4), word(4, [3, 1])), "letter 1 of block w_4 does not cross strand 4"),
+            ((word(3, [2, -2]),), "letter -2 of block w_3 cancels the one before it"),
+        ],
+        ids=["x1-first", "x3-in-w3", "distant", "cancel"],
+    )
+    def test_blocks_walked(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            NormalForm(len(blocks) + 2, 0, blocks)
+
+    def test_accepts_exactly_the_normal_forms(self):
+        """Over B4 forms with m in {0, -1}, a reduced w_3 over x1, x2 of at
+        most 4 letters and a reduced w_4 over x1-x3 of at most 3, the
+        constructor accepts a form iff it is the normal form of its word."""
+
+        def reduced(gens, most):
+            words, level = [()], [()]
+            for _ in range(most):
+                level = [
+                    w + (t,)
+                    for w in level
+                    for g in range(1, gens + 1)
+                    for t in (g, -g)
+                    if not w or w[-1] != -t
+                ]
+                words += level
+            return [BraidWord(4, w) for w in words]
+
+        accepted = 0
+        for m in (0, -1):
+            for blocks in itertools.product(reduced(2, 4), reduced(3, 3)):
+                nf = NormalForm._trusted(4, m, blocks)
+                try:
+                    NormalForm(4, m, blocks)
+                except ValueError:
+                    assert normal_form(nf_to_word(nf)) != nf
+                else:
+                    assert normal_form(nf_to_word(nf)) == nf
+                    accepted += 1
+        assert accepted == 1518
 
     @pytest.mark.parametrize("strands", [3.0, True, 0, "3"])
     def test_strand_count_validated(self, strands):
