@@ -36,10 +36,16 @@ Worst case, found by exhaustive search over the reduced words of at most 9
 letters (a test repeats it), not proved: n >= 2 letters take at most
 (n-2)(3n-7)/2 steps, reached only by bb a^(n-2) and BB A^(n-2) when n >= 4;
 for n >= 3 the form has at most 7n-14 letters, only from (bb|BB)(a|A)^(n-2).
+
+Equality: since the form is unique, u = v exactly when u v^-1 normalizes to
+the identity.  ``equal_a`` gathers that word, with the two words' longest
+common suffix cancelled, first when the suffix is at least a quarter of their
+reduced letters, and otherwise, or on a budget trip, compares the two forms.
 """
 
 from __future__ import annotations
 
+from operator import add, neg
 from typing import Iterable
 
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
@@ -99,11 +105,28 @@ def parse_artin(text: str) -> ArtinWord:
 
 
 class ArtinNormalForm(Record):
+    """The power ``m`` of a gathered to the front and the residual word
+    ``w1``: freely reduced, with an odd number of b-letters before each of
+    its a-letters, so none of them is gatherable."""
+
     __slots__ = ("m", "w1")
     m: int
     w1: ArtinWord
 
     def __new__(cls, m: int, w1: ArtinWord):
+        if type(m) is not int:  # bool too: True would pass as 1
+            raise ValueError(f"power of a {m!r} is not an integer")
+        if w1.__class__ is not ArtinWord:
+            raise ValueError(f"residual word {w1!r} is not an ArtinWord")
+        odd, last = False, 0
+        for t in w1.letters:
+            if t == -last:
+                raise ValueError(f"letter {t} of w1 cancels the one before it")
+            if abs(t) == 2:
+                odd = not odd
+            elif not odd:
+                raise ValueError(f"letter {t} of w1 has an even number of b-letters before it")
+            last = t
         return cls._trusted(m, w1)
 
 
@@ -250,7 +273,7 @@ def normalize_a(w: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> ArtinNorm
     big: list[int] = []  # starts with a b-letter: its a-letters have odd b-counts
     for _ in gather_steps_a(w, max_steps, small, big):
         pass
-    return ArtinNormalForm(sum(small), ArtinWord._trusted(tuple(big)))
+    return ArtinNormalForm._trusted(sum(small), ArtinWord._trusted(tuple(big)))
 
 
 def embed_b3(w: ArtinWord) -> BraidWord:
@@ -263,8 +286,35 @@ def embed_b3(w: ArtinWord) -> BraidWord:
 
 
 def equal_a(u: ArtinWord, v: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
-    """Group equality: the normal forms of ``u`` and ``v`` are the same.
+    """Group equality: ``u`` = ``v`` exactly when ``u v^-1`` normalizes to
+    the identity, or when the two normal forms are the same.
 
-    ``max_steps`` bounds the gathering transformations of each word.
+    With x, y the reduced letters of ``u``, ``v`` and s their longest common
+    suffix: when 4s >= |x| + |y|, the word d = x[:-s] y[:-s]^-1, reduced
+    since s is maximal and at most half as long as the pair, is gathered
+    first.  A finished gather answers, since the form is unique.  On a trip,
+    or when the gate fails, the two forms are compared as before.
+    ``max_steps`` bounds each of these gathers: d's, then each word's.  So a
+    pair whose forms finish never trips, and a pair whose forms would trip
+    can still answer through d.
     """
+    x, y = u.letters, v.letters
+    # a letter cancels the one before it iff their codes sum to 0
+    if 0 in map(add, x, x[1:]):
+        x = reduce_letters(x)
+    if 0 in map(add, y, y[1:]):
+        y = reduce_letters(y)
+    n, m = len(x), len(y)
+    t = (n + m + 3) // 4  # 4s >= n + m iff the last t letters agree
+    if t <= n and t <= m and x[n - t :] == y[m - t :]:
+        s = t
+        while s < n and s < m and x[n - s - 1] == y[m - s - 1]:
+            s += 1
+        d = x[: n - s] + tuple(map(neg, reversed(y[: m - s])))
+        try:
+            form = normalize_a(ArtinWord._trusted(d), max_steps)
+        except StepBudgetExceeded:
+            pass
+        else:
+            return not form.m and not form.w1.letters
     return normalize_a(u, max_steps) == normalize_a(v, max_steps)

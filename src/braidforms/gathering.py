@@ -15,6 +15,11 @@ Worst case in B3, found by exhaustive search over the freely reduced words of
 at most 9 letters (a test repeats it), not proved: n >= 2 letters take at
 most (n-2)^2 steps and give at most 5n-8 letters |m| + |w_3|; 2 -1 2^(n-2)
 and its sign mirror reach both.
+
+In B4, (3 3 2 2 1 1 2 2)^p gives m = 2p, |w_3| = 8p and |w_4| = a_p with
+a_1..a_3 = 32, 168, 932 and a_p = 7a_{p-1} - 7a_{p-2} + a_{p-3} - 24, found
+by search (a test checks p <= 6), not proved: w_4 grows by (1 + sqrt 2)^2
+per period.
 """
 
 from __future__ import annotations

@@ -21,10 +21,12 @@ class Record:
     records are equal only if they are of the same class with equal field
     tuples; the hash is the field tuple's; ``repr`` reads
     ``Name(field=value, ...)``; assigning or deleting a field raises
-    ``AttributeError``; pickling and copying call the constructor again with
-    the fields.  Each subclass gets its ``_trusted`` when it is created, a
-    closure for its 1, 2 or 3 fields that calls each slot's setter with no
-    loop; a subclass with any other number of fields raises ``TypeError``.
+    ``AttributeError``.  Pickling calls the checked constructor again with
+    the fields, since pickled bytes come from outside; ``copy.copy`` and
+    ``copy.deepcopy`` return the record itself, as they do a tuple.  Each
+    subclass gets its ``_trusted`` when it is created, a closure for its 1, 2
+    or 3 fields that calls each slot's setter with no loop; a subclass with
+    any other number of fields raises ``TypeError``.
     """
 
     __slots__ = ()
@@ -59,6 +61,12 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._key(self)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 def _trusted_for(cls, a, b=None, c=None):

@@ -192,6 +192,53 @@ class TestParsing:
             ArtinWord(letters)
 
 
+class TestArtinNormalForm:
+    @pytest.mark.parametrize(
+        "m, w1, message",
+        [
+            (1.0, ArtinWord(()), "power of a 1.0 is not an integer"),
+            (True, ArtinWord(()), "power of a True is not an integer"),
+            (0, (2,), r"residual word \(2,\) is not an ArtinWord"),
+            (0, ArtinWord((1,)), "letter 1 of w1 has an even number of b-letters before it"),
+            (0, ArtinWord((2, 2, -1)), "letter -1 of w1 has an even number of b-letters"),
+            (0, ArtinWord((2, -2)), "letter -2 of w1 cancels the one before it"),
+            (0, ArtinWord((2, 1, -1)), "letter -1 of w1 cancels the one before it"),
+        ],
+        ids=["float-m", "bool-m", "tuple", "a-first", "even-b", "cancel-b", "cancel-a"],
+    )
+    def test_fields_validated(self, m, w1, message):
+        with pytest.raises(ValueError, match=message):
+            ArtinNormalForm(m, w1)
+
+    def test_accepts_exactly_the_normal_forms(self):
+        """For m in {-1, 0, 1} and every word w1 of at most 6 letters,
+        reduced or not, the constructor accepts (m, w1) iff it is the normal
+        form of a^m w1."""
+        words, level = [()], [()]
+        for _ in range(6):
+            level = [w + (t,) for w in level for t in (1, -1, 2, -2)]
+            words += level
+        accepted = 0
+        for m in (-1, 0, 1):
+            for letters in words:
+                w1 = ArtinWord(letters)
+                form = normalize_a(ArtinWord((1 if m > 0 else -1,) * abs(m) + letters))
+                try:
+                    ArtinNormalForm(m, w1)
+                except ValueError:
+                    assert form != ArtinNormalForm._trusted(m, w1)
+                else:
+                    assert form == ArtinNormalForm._trusted(m, w1)
+                    accepted += 1
+        assert (3 * len(words), accepted) == (16383, 699)
+
+    def test_normalize_builds_valid_forms(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            nf = normalize_a(rand_artin(rng, max_len=40))
+            assert ArtinNormalForm(nf.m, nf.w1) == nf
+
+
 class TestQuotientGroup:
     def test_generators_are_involutions(self):
         assert compose(A_BAR, A_BAR) == IDENT
@@ -615,6 +662,83 @@ class TestEqualA:
         with pytest.raises(StepBudgetExceeded):
             equal_a(u, v, max_steps=0)
         assert equal_a(u, v, max_steps=10)
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Wrap the module-global ``normalize_a``, which ``equal_a`` calls,
+        to count its calls."""
+        calls = []
+
+        def wrapper(w, max_steps=DEFAULT_STEP_BUDGET):
+            calls.append(w)
+            return normalize(w, max_steps)
+
+        normalize = artin.normalize_a
+        monkeypatch.setattr(artin, "normalize_a", wrapper)
+        return calls
+
+    def test_pairs_sharing_a_long_suffix(self, monkeypatch):
+        """Seeded pairs X S and Y S, S a reduced word of 40-80 letters and X,
+        Y short, Y equal to X by relation moves or unrelated: each verdict
+        is Burau's of the B3 embedding, which is complete here and shares no
+        code with normalize_a, and each comes from gathering X Y^-1 alone."""
+        rng = random.Random(30)
+        calls = self.counted(monkeypatch)
+        verdicts = []
+        for n in range(40):
+            tail = rand_artin(rng, max_len=81, min_len=40).letters
+            x = rand_artin(rng, max_len=8)
+            y = artin_mutate(x, rng, rng.randrange(1, 4)) if n % 2 else rand_artin(rng, max_len=8)
+            u, v = ArtinWord(x.letters + tail), ArtinWord(y.letters + tail)
+            del calls[:]
+            verdict = equal_a(u, v)
+            assert verdict == (burau(embed_b3(u)) == burau(embed_b3(v))), (str(u), str(v))
+            assert len(calls) == 1
+            verdicts.append(verdict)
+        assert all(verdicts[1::2])
+        assert verdicts[::2].count(False) > 15
+
+    @pytest.mark.parametrize(
+        "u, v, max_steps, calls, verdict",
+        [
+            ("abab" + "a" * 40, "baba" + "a" * 40, DEFAULT_STEP_BUDGET, 1, True),
+            ("ab", "ba", DEFAULT_STEP_BUDGET, 2, False),
+            ("abab", "baba", DEFAULT_STEP_BUDGET, 2, True),
+            # d = bb a^6 needs steps, while u = b^42 and v = A^6 b^40 need none
+            ("bb" + "b" * 40, "AAAAAA" + "b" * 40, 0, 3, False),
+        ],
+        ids=["gate-passes", "gate-fails", "short-suffix", "d-trips"],
+    )
+    def test_normalize_calls(self, monkeypatch, u, v, max_steps, calls, verdict):
+        """One normalize_a call when the gate passes and d finishes, two
+        when it fails, three when d trips."""
+        counted = self.counted(monkeypatch)
+        assert equal_a(parse_artin(u), parse_artin(v), max_steps) is verdict
+        assert len(counted) == calls
+
+    def test_answers_where_the_forms_trip(self):
+        """With S = bb a^40, the forms of X S trip a budget that the short
+        word d = X Y^-1 does not, so equal_a answers; it still raises where
+        the gate fails."""
+        tail = "bb" + "a" * 40
+        u, v, w = (parse_artin(x + tail) for x in ("abab", "baba", "aabab"))
+        budget = len(keys(parse_artin("ababABAB")))
+        assert len(keys(parse_artin("aababABAB"))) <= budget < len(keys(u))
+        for word in (u, v, w):
+            with pytest.raises(StepBudgetExceeded):
+                normalize_a(word, max_steps=budget)
+        assert equal_a(u, v, max_steps=budget)
+        assert not equal_a(w, v, max_steps=budget)
+        with pytest.raises(StepBudgetExceeded):
+            equal_a(parse_artin(tail + "b"), parse_artin(tail + "B"), max_steps=budget)
+
+    def test_unreduced_words(self):
+        """Each word is reduced before its suffix is read, so cancelling
+        pairs anywhere do not hide the shared suffix."""
+        tail = "bb" + "a" * 40
+        u = parse_artin("abab" + tail[:5] + "bB" + tail[5:] + "aA")
+        v = parse_artin("Aababa" + tail)
+        assert equal_a(u, v, max_steps=50)
 
     def test_same_partition_as_burau(self):
         """On every reduced word of at most 6 letters, normal forms split the

@@ -540,6 +540,21 @@ class TestNormalForm:
                 with pytest.raises(StepBudgetExceeded):
                     normal_form(worst, max_steps=budget - 1)
 
+    def test_b4_blow_up_family_law(self):
+        """(3 3 2 2 1 1 2 2)^p in B4 gives m = 2p, |w_3| = 8p and the |w_4|
+        below for p = 1-6, which satisfy a_p = 7a_{p-1} - 7a_{p-2} +
+        a_{p-3} - 24: growth by (1 + sqrt 2)^2 per period.  The law was
+        found by search, not proved."""
+        lengths = []
+        for p in range(1, 7):
+            nf = normal_form(word(4, (3, 3, 2, 2, 1, 1, 2, 2) * p))
+            assert (nf.m, len(nf.block(3))) == (2 * p, 8 * p)
+            lengths.append(len(nf.block(4)))
+        assert lengths == [32, 168, 932, 5356, 31112, 181200]
+        a = lengths  # a[i] is a_{i+1}
+        for i in range(3, 6):
+            assert a[i] == 7 * a[i - 1] - 7 * a[i - 2] + a[i - 3] - 24, i + 1
+
     def test_commutation_heavy_word_pinned(self):
         # each x1 commutes past all 400 x4: 200 * 400 steps for 600 letters
         w = word(5, [4] * 400 + [1] * 200)

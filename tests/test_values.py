@@ -132,6 +132,11 @@ class TestValueSemantics:
         assert other == value
         assert hash(other) == hash(value)
 
+    def test_copies_are_the_value_itself(self, value, fields, text):
+        # records are immutable, so copying checks and builds nothing
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+
     @pytest.mark.parametrize("clone", CLONES)
     def test_trusted_round_trips(self, value, fields, text, clone):
         other = clone(type(value)._trusted(*fields))
