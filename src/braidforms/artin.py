@@ -45,7 +45,7 @@ reduced letters, and otherwise, or on a budget trip, compares the two forms.
 
 from __future__ import annotations
 
-from operator import add, neg
+from operator import neg
 from typing import Iterable
 
 from .errors import DEFAULT_STEP_BUDGET, StepBudgetExceeded
@@ -248,8 +248,10 @@ def gather_steps_a(w: ArtinWord, max_steps: int, small: list, big: list):
                 # reached keeps this bubble's tails uncancelled, so walk it again
                 yield from keys[:budget]
                 _, i, b, t, back = _walk(big, 0, first, start)
-                reached = (*small, *big[:i], *(b,)[: b != 0], t, *back[::-1], *letters[k + 1 :])
-                raise StepBudgetExceeded(max_steps, "normalizing Artin word", ArtinWord(reached))
+                reached = ArtinWord._trusted(
+                    (*small, *big[:i], *(b,)[: b != 0], t, *back[::-1], *letters[k + 1 :])
+                )
+                raise StepBudgetExceeded(max_steps, "normalizing Artin word", reached)
             budget -= len(keys)
             yield from keys
             i -= used
@@ -282,7 +284,7 @@ def embed_b3(w: ArtinWord) -> BraidWord:
     for t in w.letters:
         # the letter codes are the generators' indices: a is x1, b is x2
         letters.extend((t,) if abs(t) == 1 else (t, t))
-    return BraidWord(3, tuple(letters))
+    return BraidWord._trusted(3, tuple(letters))
 
 
 def equal_a(u: ArtinWord, v: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
@@ -293,17 +295,12 @@ def equal_a(u: ArtinWord, v: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) ->
     suffix: when 4s >= |x| + |y|, the word d = x[:-s] y[:-s]^-1, reduced
     since s is maximal and at most half as long as the pair, is gathered
     first.  A finished gather answers, since the form is unique.  On a trip,
-    or when the gate fails, the two forms are compared as before.
+    or when the gate fails, the forms of x and y are compared as before.
     ``max_steps`` bounds each of these gathers: d's, then each word's.  So a
     pair whose forms finish never trips, and a pair whose forms would trip
     can still answer through d.
     """
-    x, y = u.letters, v.letters
-    # a letter cancels the one before it iff their codes sum to 0
-    if 0 in map(add, x, x[1:]):
-        x = reduce_letters(x)
-    if 0 in map(add, y, y[1:]):
-        y = reduce_letters(y)
+    x, y = reduce_letters(u.letters), reduce_letters(v.letters)
     n, m = len(x), len(y)
     t = (n + m + 3) // 4  # 4s >= n + m iff the last t letters agree
     if t <= n and t <= m and x[n - t :] == y[m - t :]:
@@ -317,4 +314,5 @@ def equal_a(u: ArtinWord, v: ArtinWord, max_steps: int = DEFAULT_STEP_BUDGET) ->
             pass
         else:
             return not form.m and not form.w1.letters
+    u, v = ArtinWord._trusted(x), ArtinWord._trusted(y)
     return normalize_a(u, max_steps) == normalize_a(v, max_steps)

@@ -18,7 +18,6 @@ from .crossings import (
     Crossing,
     CrossingSequence,
     InvalidCrossing,
-    crossing,
     crossings_to_word,
     word_to_crossings,
 )
@@ -87,7 +86,7 @@ def parse_crossings(text: str, strands: int) -> CrossingSequence:
         minus, r, s = m[1], int(m[2]), int(m[3])
         if not r < s:
             raise ValueError(f"crossing token {tok!r} must have r < s")
-        items.append(crossing(r, s, -1 if minus else 1))
+        items.append(Crossing(r, s, -1 if minus else 1))
     return CrossingSequence(strands, tuple(items))
 
 

@@ -128,7 +128,7 @@ def gather_strand(
             if rest := length_hint(run):
                 reached = (*small, *big[:rest], t, *left[::-1], *letters[j + 1 :])
                 raise StepBudgetExceeded(
-                    max_steps, f"gathering strand {k}", BraidWord(w.strands, reached)
+                    max_steps, f"gathering strand {k}", BraidWord._trusted(w.strands, reached)
                 )
             steps += len(big) - patterns
             if cuts:

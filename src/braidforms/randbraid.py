@@ -93,13 +93,17 @@ def random_block(k: int, s: float, rng: random.Random, strands: int) -> BraidWor
 
     The walk starts with the distinguished strand at position k+1, so the
     first letter is always x_k^{+-1}.  It tracks the strand's position and
-    the last letter, so each letter costs O(1).
+    the last letter, so each letter costs O(1).  The arguments are checked
+    before the first draw, and the letters, on x_1 .. x_k, skip the check.
     """
     check_stop(s)
     if type(k) is not int:  # bool too: True would pass as the block index 1
         raise ValueError(f"block index {k!r} is not an integer")
     if k < 1:
         raise ValueError(f"block index must be >= 1, got {k}")
+    check_strands(strands)
+    if k >= strands:
+        raise ValueError(f"block index {k} needs more than {strands} strands")
     letters: list[int] = []
     p, last = k + 1, 0
     while rng.random() >= s:
@@ -107,7 +111,7 @@ def random_block(k: int, s: float, rng: random.Random, strands: int) -> BraidWor
         last = moves[rng.randrange(len(moves))]
         letters.append(last)
         p = p - 1 if abs(last) == p - 1 else p + 1
-    return BraidWord(strands, tuple(letters))
+    return BraidWord._trusted(strands, tuple(letters))
 
 
 def random_braid(params: RandomParams) -> NormalForm:

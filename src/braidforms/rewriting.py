@@ -68,7 +68,8 @@ class Strategy(Record):
 
     The policy picks, in position order, among the D sites and the
     reorderings of the highest strand still pending: the leftmost, the
-    rightmost or a seeded random one.
+    rightmost or a random one, whose seed is an ``int`` (not a ``bool``);
+    leftmost and rightmost take no seed.
     """
 
     __slots__ = ("kind", "seed")
@@ -76,10 +77,14 @@ class Strategy(Record):
     seed: int | None
 
     def __new__(cls, kind: str, seed: int | None = None):
-        if kind not in ("leftmost", "rightmost", "random"):
+        if kind == "random":
+            # random.Random would seed itself from the OS on None
+            if type(seed) is not int:  # bool too: True would pass as seed 1
+                raise ValueError(f"random strategy needs an integer seed, got {seed!r}")
+        elif kind not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy kind {kind!r}")
-        if kind == "random" and seed is None:
-            raise ValueError("random strategy needs a seed")
+        elif seed is not None:
+            raise ValueError(f"{kind} strategy takes no seed, got {seed!r}")
         return cls._trusted(kind, seed)
 
 

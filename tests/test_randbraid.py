@@ -151,6 +151,24 @@ class TestRandomBlock:
         with pytest.raises(ValueError, match=message):
             random_block(k, s, random.Random(1), 3)
 
+    @pytest.mark.parametrize(
+        "k, strands, message",
+        [
+            (5, 3, "block index 5 needs more than 3 strands"),
+            (3, 3, "block index 3 needs more than 3 strands"),
+            (1, 0, "strand count must be >= 1, got 0"),
+            (1, True, "strand count True is not an integer"),
+        ],
+    )
+    def test_strands_checked_before_any_draw(self, k, strands, message):
+        # each seed, whether its first draw stops the walk at once or not
+        for seed in range(5):
+            rng = random.Random(seed)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=message):
+                random_block(k, 0.5, rng, strands)
+            assert rng.getstate() == state
+
     def test_every_letter_involves_distinguished_strand(self):
         rng = random.Random(7)
         for k in (2, 3, 4):

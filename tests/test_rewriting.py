@@ -152,6 +152,29 @@ class TestStrategy:
             Strategy("random")
         assert Strategy("random", 3).seed == 3
 
+    @pytest.mark.parametrize(
+        "kind, seed, message",
+        [
+            # random.Random would take a list only to raise TypeError later
+            ("random", [1], r"random strategy needs an integer seed, got \[1\]"),
+            # True would run as seed 1
+            ("random", True, "random strategy needs an integer seed, got True"),
+            ("random", 1.0, "random strategy needs an integer seed, got 1.0"),
+            ("random", None, "random strategy needs an integer seed, got None"),
+            # a seeded leftmost would pick as LEFTMOST but differ from it as a value
+            ("leftmost", 7, "leftmost strategy takes no seed, got 7"),
+            ("rightmost", 0, "rightmost strategy takes no seed, got 0"),
+        ],
+    )
+    def test_seeds_validated(self, kind, seed, message):
+        with pytest.raises(ValueError, match=message):
+            Strategy(kind, seed)
+
+    def test_valid_seeds(self):
+        assert Strategy("random", -5).seed == -5
+        assert Strategy("random", 2**80).seed == 2**80
+        assert Strategy("leftmost", None) == LEFTMOST
+
 
 class TestWorkedExample:
     def test_residue_of_example(self):

@@ -1,6 +1,7 @@
 """Braid words: free reduction, permutation homomorphism, pure-braid generators."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -173,6 +174,44 @@ class TestFreeReduce:
 
     def test_cancellation_cascades(self):
         assert reduce_letters((1, 2, 3, -3, -2, -1)) == ()
+
+
+def stack_reduce(letters):
+    """Reference free reduction: a plain stack pass."""
+    out = []
+    for t in letters:
+        if out and out[-1] == -t:
+            out.pop()
+        else:
+            out.append(t)
+    return tuple(out)
+
+
+def seeded_sequences():
+    """Named cases, then seeded sequences over x1..x3 with frequent cancels."""
+    cases = [(), (2,), (1, 2, -1, 3), (1, -1), (2, 3, -3, 1), (1, 2, 3, -3, -2, -1, 2)]
+    rng = random.Random(32)
+    for _ in range(300):
+        cases.append(tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(rng.randrange(12))))
+    return cases
+
+
+class TestReduceLetters:
+    def test_matches_a_stack_pass(self):
+        for letters in seeded_sequences():
+            assert reduce_letters(letters) == stack_reduce(letters), letters
+            assert reduce_letters(list(letters)) == stack_reduce(letters), letters
+            assert reduce_letters(reversed(letters)) == stack_reduce(letters[::-1]), letters
+
+    def test_reduced_sequence_comes_back_as_it_is(self):
+        for letters in ((), (1,), (1, 2, -1, 3), (3, 3, 2, 2, 1, 1, 2, 2)):
+            assert reduce_letters(letters) is letters
+
+    def test_is_reduced_reads_the_kernel(self):
+        for letters in seeded_sequences():
+            w = BraidWord(4, letters)
+            assert w.is_reduced() == (reduce_letters(w.letters) == w.letters)
+            assert w.is_reduced() == (stack_reduce(letters) == letters)
 
 
 class TestInverse:
